@@ -29,6 +29,7 @@ from .data import load_csv
 from .dgp import KINDS, DGPSpec, export_sample, generate, true_rr
 from .errors import EstimationError, ValidationError
 from .montecarlo import (
+    _METHODS,
     EstimatorConfig,
     ExperimentPlan,
     run_experiment,
@@ -38,30 +39,13 @@ from .montecarlo import (
 )
 from .rng import derive_seed
 
-_METHODS = ("neyman", "ht", "ipw", "g", "os", "aipw")
-
-
-def _to_int(s):
-    return int(s)
-
-
-def _to_float(s):
-    return float(s)
-
-
-def _to_str(s):
-    return str(s)
-
 
 def _to_float_or_none(s):
     return None if s in ("", "none") else float(s)
 
 
 def _to_int_list(s):
-    try:
-        return tuple(int(v) for v in str(s).split(",") if v != "")
-    except ValueError:
-        raise ValidationError(f"expected a comma-separated list of integers, got {s!r}") from None
+    return tuple(int(v) for v in str(s).split(",") if v != "")
 
 
 def _to_str_list(s):
@@ -70,58 +54,62 @@ def _to_str_list(s):
 
 # per-subcommand option tables: key -> (default, converter, help)
 _COMMON = {
-    "config": (None, _to_str, "key=value config file; explicit flags override it"),
+    "config": (None, str, "key=value config file; explicit flags override it"),
 }
 
 _OPTIONS = {
     "estimate": {
         **_COMMON,
-        "input": (None, _to_str, "input CSV with header y,t,x1..xp (required)"),
-        "out": (None, _to_str, "output directory (required)"),
-        "estimators": (("aipw",), _to_str_list, f"comma list from {_METHODS}"),
-        "nuisance": ("parametric", _to_str, "nuisance learners: parametric|forest"),
-        "k": (5, _to_int, "cross-fitting folds for os/aipw"),
-        "alpha": (0.05, _to_float, "interval miscoverage level"),
-        "ci_style": ("wald", _to_str, "wald|log_delta|katz"),
-        "eta": (0.01, _to_float, "propensity clipping level"),
+        "input": (None, str, "input CSV with header y,t,x1..xp (required)"),
+        "out": (None, str, "output directory (required)"),
+        "estimators": (
+            ("aipw",),
+            _to_str_list,
+            f"comma list of method[:nuisance[:k]] specs, methods from {_METHODS}",
+        ),
+        "nuisance": ("parametric", str, "default nuisance learners: parametric|forest"),
+        "k": (5, int, "cross-fitting folds for os/aipw"),
+        "alpha": (0.05, float, "interval miscoverage level"),
+        "ci_style": ("wald", str, "wald|log_delta|katz"),
+        "eta": (0.01, float, "propensity clipping level"),
         "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
-        "n_trees": (100, _to_int, "trees per forest nuisance"),
-        "seed": (0, _to_int, "seed for folds and forest nuisances"),
+        "n_trees": (100, int, "trees per forest nuisance"),
+        "seed": (0, int, "seed for folds and forest nuisances"),
     },
     "simulate": {
         **_COMMON,
-        "dgp": (None, _to_str, f"DGP kind, one of {KINDS} (required)"),
-        "n": (1000, _to_int, "sample size"),
-        "seed": (0, _to_int, "generator seed"),
-        "sigma": (1.0, _to_float, "outcome noise standard deviation"),
-        "out": (None, _to_str, "output directory (required)"),
+        "dgp": (None, str, f"DGP kind, one of {KINDS} (required)"),
+        "n": (1000, int, "sample size"),
+        "seed": (0, int, "generator seed"),
+        "sigma": (1.0, float, "outcome noise standard deviation"),
+        "out": (None, str, "output directory (required)"),
     },
     "experiment": {
         **_COMMON,
-        "dgp": (None, _to_str, f"DGP kind, one of {KINDS} (required)"),
+        "dgp": (None, str, f"DGP kind, one of {KINDS} (required)"),
         "n_list": ((1000,), _to_int_list, "comma list of sample sizes"),
-        "reps": (300, _to_int, "replications per sample size"),
-        "sigma": (1.0, _to_float, "outcome noise standard deviation"),
-        "master_seed": (0, _to_int, "master seed; replication seeds derive from it"),
+        "reps": (300, int, "replications per sample size"),
+        "sigma": (1.0, float, "outcome noise standard deviation"),
+        "master_seed": (0, int, "master seed; replication seeds derive from it"),
         "estimators": (
             ("parametric_aipw",),
             _to_str_list,
             "comma list of method[:nuisance[:k]] or nuisance_method specs",
         ),
-        "alpha": (0.05, _to_float, "interval miscoverage level"),
-        "ci_style": ("wald", _to_str, "wald|log_delta"),
-        "eta": (0.01, _to_float, "propensity clipping level"),
+        "alpha": (0.05, float, "interval miscoverage level"),
+        "ci_style": ("wald", str, "wald|log_delta"),
+        "eta": (0.01, float, "propensity clipping level"),
         "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
-        "n_trees": (100, _to_int, "trees per forest nuisance"),
-        "truth_draws": (10**6, _to_int, "Monte-Carlo draws for the true RR"),
-        "workers": (1, _to_int, "concurrent replication workers"),
-        "out": (None, _to_str, "output directory (required)"),
+        "n_trees": (100, int, "trees per forest nuisance"),
+        "truth_draws": (10**6, int, "Monte-Carlo draws for the true RR"),
+        "workers": (1, int, "concurrent replication workers"),
+        "out": (None, str, "output directory (required)"),
     },
     "true-rr": {
         **_COMMON,
-        "dgp": (None, _to_str, f"DGP kind, one of {KINDS} (required)"),
-        "draws": (10**6, _to_int, "Monte-Carlo draws (ignored for closed forms)"),
-        "seed": (0, _to_int, "oracle seed"),
+        "dgp": (None, str, f"DGP kind, one of {KINDS} (required)"),
+        "draws": (10**6, int, "Monte-Carlo draws (ignored for closed forms)"),
+        "seed": (0, int, "oracle seed"),
     },
 }
 
@@ -171,13 +159,16 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     resolved: dict = {"command": args.command}
     for key, (default, conv, _help) in table.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = conv(cli_value)
-        elif key in file_values:
-            resolved[key] = conv(file_values[key])
-        else:
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = file_values.get(key)
+        if raw is None:
             resolved[key] = default
+            continue
+        try:
+            resolved[key] = conv(raw)
+        except ValueError:
+            raise ValidationError(f"invalid value {raw!r} for --{key.replace('_', '-')}") from None
     for key in _REQUIRED[args.command]:
         if resolved[key] is None:
             raise ValidationError(f"--{key.replace('_', '-')} is required")
@@ -210,14 +201,17 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
     or the report-style label ``nuisance_method``."""
     parts = spec.split(":")
     method = parts[0]
-    nuisance = "parametric"
+    nuisance = cfg.get("nuisance", "parametric")
     k = cfg.get("k", 5)
     if method not in _METHODS and "_" in method and len(parts) == 1:
         nuisance, _, method = method.partition("_")
     if len(parts) >= 2:
         nuisance = parts[1]
     if len(parts) >= 3:
-        k = int(parts[2])
+        try:
+            k = int(parts[2])
+        except ValueError:
+            raise ValidationError(f"estimator {spec!r}: k must be an integer") from None
     if method not in _METHODS:
         raise ValidationError(f"unknown estimator {spec!r}")
     return EstimatorConfig(
@@ -238,22 +232,7 @@ def cmd_estimate(cfg: dict) -> int:
         raise ValidationError("--ci-style katz requires a binary outcome column")
     if cfg["nuisance"] not in ("parametric", "forest"):
         raise ValidationError("--nuisance must be parametric or forest")
-    configs = []
-    for method in cfg["estimators"]:
-        if method not in _METHODS:
-            raise ValidationError(f"unknown estimator {method!r}")
-        configs.append(
-            EstimatorConfig(
-                method=method,
-                nuisance=cfg["nuisance"],
-                k=cfg["k"],
-                ci_style=cfg["ci_style"],
-                alpha=cfg["alpha"],
-                e=cfg["e"],
-                eta=cfg["eta"],
-                n_trees=cfg["n_trees"],
-            )
-        )
+    configs = [_parse_estimator_spec(spec, cfg) for spec in cfg["estimators"]]
     rows = []
     for idx, est_cfg in enumerate(configs):
         try:

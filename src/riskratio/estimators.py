@@ -19,7 +19,7 @@ when applied to covariate-dependent designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,19 +88,20 @@ class CrossfitScores:
 
 @dataclass(frozen=True, eq=False)
 class NuisanceRecipe:
-    """Which learners the cross-fitting loop refits on each fold complement.
+    """Which learners fit the nuisances, on the full sample or per fold.
 
     ``propensity`` is one of ``logistic``, ``forest``, ``fixed``;
     ``outcome`` is one of ``ols``, ``forest``, ``fixed``.  Fixed models are
     evaluated as-is (no refitting), which yields the oracle variants.
+    ``forest`` configures every forest learner; each fit derives its own
+    seed from ``forest.seed`` (see :func:`fit_propensity`).  ``clip`` bounds
+    fitted propensities.
     """
 
     propensity: str = "logistic"
     outcome: str = "ols"
     clip: float = 0.01
-    ridge: float = 0.0
-    propensity_forest: ForestConfig | None = None
-    outcome_forest: ForestConfig | None = None
+    forest: ForestConfig = field(default_factory=ForestConfig)
     fixed_propensity: PropensityModel | None = None
     fixed_mu0: OutcomeModel | None = None
     fixed_mu1: OutcomeModel | None = None
@@ -175,42 +176,43 @@ def make_folds(n: int, k: int, seed: int) -> FoldPartition:
     return FoldPartition(k=k, assignment=assignment, seed=seed)
 
 
-def _fit_fold_models(d, train, recipe, fold_idx):
-    x_tr, t_tr, y_tr = d.x[train], d.t[train], d.y[train]
-    if recipe.propensity == "logistic":
-        e_model = fit_logistic_mle(x_tr, t_tr, ridge=recipe.ridge, clip=recipe.clip)
-    elif recipe.propensity == "forest":
-        base = recipe.propensity_forest or ForestConfig()
-        cfg = ForestConfig(
-            n_trees=base.n_trees,
-            max_depth=base.max_depth,
-            min_leaf=base.min_leaf,
-            mtry=base.mtry,
-            bootstrap=base.bootstrap,
-            seed=derive_seed(base.seed, fold_idx),
-        )
-        e_model = fit_forest_classifier(x_tr, t_tr, cfg, clip=recipe.clip)
-    else:
-        e_model = recipe.fixed_propensity
-    arm_models = []
+def fit_propensity(
+    x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int
+) -> PropensityModel:
+    """Fit (or look up) the recipe's propensity model on ``(x, t)``.
+
+    A forest is seeded with ``derive_seed(recipe.forest.seed, *keys)``;
+    cross-fitting passes the fold index as the key, a full-sample fit none.
+    """
+    if recipe.propensity == "fixed":
+        return recipe.fixed_propensity
+    if recipe.propensity == "forest":
+        cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys))
+        return fit_forest_classifier(x, t, cfg, clip=recipe.clip)
+    return fit_logistic_mle(x, t, clip=recipe.clip)
+
+
+def fit_outcomes(
+    x: np.ndarray, t: np.ndarray, y: np.ndarray, recipe: NuisanceRecipe, *keys: int
+) -> tuple[OutcomeModel, OutcomeModel]:
+    """Fit (or look up) the recipe's outcome surfaces ``(mu0, mu1)``.
+
+    Each arm is fitted on its own rows; arm ``a``'s forest is seeded with
+    ``derive_seed(recipe.forest.seed, *keys, a)``.
+    """
+    if recipe.outcome == "fixed":
+        return recipe.fixed_mu0, recipe.fixed_mu1
+    models = []
     for arm in (0, 1):
-        rows = t_tr == arm
-        if recipe.outcome == "ols":
-            arm_models.append(fit_ols(x_tr[rows], y_tr[rows], arm=arm))
-        elif recipe.outcome == "forest":
-            base = recipe.outcome_forest or ForestConfig()
-            cfg = ForestConfig(
-                n_trees=base.n_trees,
-                max_depth=base.max_depth,
-                min_leaf=base.min_leaf,
-                mtry=base.mtry,
-                bootstrap=base.bootstrap,
-                seed=derive_seed(base.seed, fold_idx, arm),
-            )
-            arm_models.append(fit_forest_regressor(x_tr[rows], y_tr[rows], cfg, arm=arm))
+        rows = t == arm
+        if not rows.any():
+            raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
+        if recipe.outcome == "forest":
+            cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys, arm))
+            models.append(fit_forest_regressor(x[rows], y[rows], cfg, arm=arm))
         else:
-            arm_models.append(recipe.fixed_mu0 if arm == 0 else recipe.fixed_mu1)
-    return e_model, arm_models[0], arm_models[1]
+            models.append(fit_ols(x[rows], y[rows], arm=arm))
+    return models[0], models[1]
 
 
 def _complements_ok(d: ObservationalDataset, folds: FoldPartition) -> bool:
@@ -243,7 +245,9 @@ def crossfit_nuisances(
     for k in range(1, folds.k + 1):
         held = folds.assignment == k
         train = ~held
-        e_model, m0, m1 = _fit_fold_models(d, train, recipe, k)
+        x_tr, t_tr = d.x[train], d.t[train]
+        e_model = fit_propensity(x_tr, t_tr, recipe, k)
+        m0, m1 = fit_outcomes(x_tr, t_tr, d.y[train], recipe, k)
         x_held = d.x[held]
         e[held] = e_model.predict(x_held)
         mu0[held] = m0.predict(x_held)
@@ -251,11 +255,19 @@ def crossfit_nuisances(
     return CrossfitScores(e=e, mu0=mu0, mu1=mu1, folds=folds)
 
 
+def augmented_scores(
+    d: ObservationalDataset, scores: CrossfitScores
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row augmented scores ``(gamma_1, gamma_0)``; their means are the AIPW arm means."""
+    t = d.t.astype(float)
+    gamma1 = scores.mu1 + t * (d.y - scores.mu1) / scores.e
+    gamma0 = scores.mu0 + (1.0 - t) * (d.y - scores.mu0) / (1.0 - scores.e)
+    return gamma1, gamma0
+
+
 def arm_functionals(d: ObservationalDataset, scores: CrossfitScores) -> ArmFunctionals:
     """Plain and augmented cross-fitted arm means from out-of-fold scores."""
-    t = d.t.astype(float)
-    aug1 = scores.mu1 + t * (d.y - scores.mu1) / scores.e
-    aug0 = scores.mu0 + (1.0 - t) * (d.y - scores.mu0) / (1.0 - scores.e)
+    aug1, aug0 = augmented_scores(d, scores)
     return ArmFunctionals(
         tau_g_1=float(scores.mu1.mean()),
         tau_g_0=float(scores.mu0.mean()),

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import ObservationalDataset
 from .errors import ValidationError
-from .estimators import CrossfitScores, RRPoint, rr_g, rr_ht, rr_ipw, rr_neyman
+from .estimators import CrossfitScores, RRPoint, _ratio_point, augmented_scores, rr_ht, rr_neyman
 from .nuisance import OutcomeModel, PropensityModel
 
 FLAG_VARIANCE_CLAMPED = "variance-clamped-to-zero"
@@ -152,7 +152,7 @@ def var_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> float:
     den0 = float(np.mean((1.0 - t) * d.y / (1.0 - e)))
     if den1 == 0.0 or den0 == 0.0:
         raise ValidationError("variance undefined: a weighted arm mean is zero")
-    tau = rr_ipw(d, e_hat).value
+    tau = den1 / den0  # the rr_ipw point estimate
     return tau * tau * (num1 / den1**2 + num0 / den0**2)
 
 
@@ -179,7 +179,7 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
     c10 = xt.T @ ((1.0 - t) * d.y * e / (1.0 - e)) / d.n
     c01 = xt.T @ (t * d.y * (1.0 - e) / e) / d.n
     v = c10 / den0 + c01 / den1
-    tau = rr_ipw(d, e_hat).value
+    tau = den1 / den0
     correction = tau * tau * float(v @ np.linalg.solve(q, v))
     return var_ipw(d, e_hat) - correction
 
@@ -191,8 +191,9 @@ def var_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> floa
     ybar1, ybar0 = float(y1.mean()), float(y0.mean())
     if ybar1 == 0.0 or ybar0 == 0.0:
         raise ValidationError("variance undefined: an arm mean is zero")
-    delta = mu1.predict(d.x) / ybar1 - mu0.predict(d.x) / ybar0
-    tau = rr_g(d, mu0, mu1).value
+    pred1, pred0 = mu1.predict(d.x), mu0.predict(d.x)
+    delta = pred1 / ybar1 - pred0 / ybar0
+    tau = _ratio_point(float(pred1.mean()), float(pred0.mean()), "g").value
     return tau * tau * float(np.mean((delta - delta.mean()) ** 2))
 
 
@@ -202,9 +203,7 @@ def var_os(d: ObservationalDataset, scores: CrossfitScores, point: RRPoint) -> f
     Shared by the one-step and augmented-ratio estimators (both have the
     same limit distribution); pass whichever point estimate is reported.
     """
-    t = d.t.astype(float)
-    gamma1 = scores.mu1 + t * (d.y - scores.mu1) / scores.e
-    gamma0 = scores.mu0 + (1.0 - t) * (d.y - scores.mu0) / (1.0 - scores.e)
+    gamma1, gamma0 = augmented_scores(d, scores)
     s1 = float(gamma1.mean())
     s0 = float(gamma0.mean())
     if s1 == 0.0 or s0 == 0.0:

@@ -29,6 +29,8 @@ from .estimators import (
     NuisanceRecipe,
     arm_functionals,
     crossfit_nuisances,
+    fit_outcomes,
+    fit_propensity,
     make_folds,
     rr_aipw,
     rr_g,
@@ -46,7 +48,6 @@ from .inference import (
     var_neyman,
     var_os,
 )
-from .nuisance import fit_forest_classifier, fit_forest_regressor, fit_logistic_mle, fit_ols
 from .rng import derive_seed
 from .trees import ForestConfig
 
@@ -173,37 +174,8 @@ class MonteCarloReport:
     cells: tuple[ReportCell, ...]
 
 
-def _forest_cfg(cfg: EstimatorConfig, seed: int) -> ForestConfig:
-    return ForestConfig(n_trees=cfg.n_trees, seed=seed)
-
-
-def _fit_propensity(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle):
-    if cfg.nuisance == "oracle":
-        return oracle[0]
-    if cfg.nuisance == "forest":
-        return fit_forest_classifier(
-            d.x, d.t, _forest_cfg(cfg, derive_seed(seed, _FOREST_STREAM)), clip=cfg.eta
-        )
-    return fit_logistic_mle(d.x, d.t, clip=cfg.eta)
-
-
-def _fit_outcomes(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle):
-    if cfg.nuisance == "oracle":
-        return oracle[1], oracle[2]
-    models = []
-    for arm in (0, 1):
-        rows = d.t == arm
-        if rows.sum() == 0:
-            raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
-        if cfg.nuisance == "forest":
-            fcfg = _forest_cfg(cfg, derive_seed(seed, _FOREST_STREAM, arm))
-            models.append(fit_forest_regressor(d.x[rows], d.y[rows], fcfg, arm=arm))
-        else:
-            models.append(fit_ols(d.x[rows], d.y[rows], arm=arm))
-    return models[0], models[1]
-
-
 def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
+    """The learners ``cfg.nuisance`` names; forest seeds derive from ``seed``."""
     if cfg.nuisance == "oracle":
         return NuisanceRecipe(
             propensity="fixed",
@@ -214,15 +186,9 @@ def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
             clip=cfg.eta,
         )
     if cfg.nuisance == "forest":
-        fcfg = _forest_cfg(cfg, derive_seed(seed, _FOREST_STREAM))
-        return NuisanceRecipe(
-            propensity="forest",
-            outcome="forest",
-            propensity_forest=fcfg,
-            outcome_forest=fcfg,
-            clip=cfg.eta,
-        )
-    return NuisanceRecipe(propensity="logistic", outcome="ols", clip=cfg.eta)
+        forest = ForestConfig(n_trees=cfg.n_trees, seed=derive_seed(seed, _FOREST_STREAM))
+        return NuisanceRecipe(propensity="forest", outcome="forest", forest=forest, clip=cfg.eta)
+    return NuisanceRecipe(clip=cfg.eta)
 
 
 def run_single(
@@ -239,11 +205,11 @@ def run_single(
         point = rr_ht(d, cfg.e)
         v = None if point.degenerate else var_ht(d, cfg.e)
     elif cfg.method == "ipw":
-        model = _fit_propensity(d, cfg, seed, oracle)
+        model = fit_propensity(d.x, d.t, _recipe(cfg, seed, oracle))
         point = rr_ipw(d, model)
         v = None if point.degenerate else var_ipw(d, model)
     elif cfg.method == "g":
-        mu0, mu1 = _fit_outcomes(d, cfg, seed, oracle)
+        mu0, mu1 = fit_outcomes(d.x, d.t, d.y, _recipe(cfg, seed, oracle))
         point = rr_g(d, mu0, mu1)
         v = None if point.degenerate else var_g(d, mu0, mu1)
     else:

@@ -253,8 +253,9 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
     if n < p + 1:
         raise ValidationError(f"need at least p+1={p + 1} rows, got {n}")
     xt = np.column_stack([np.ones(n), x])
-    rank = np.linalg.matrix_rank(xt)
+    coef, _, rank, _ = np.linalg.lstsq(xt, y, rcond=None)
     if rank < p + 1:
+        # locate the first dependent column only once the fit shows one exists
         prev = 0
         for j in range(p + 1):
             r = np.linalg.matrix_rank(xt[:, : j + 1])
@@ -263,7 +264,6 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
                     f"design column {j} is linearly dependent on earlier columns"
                 )
             prev = r
-    coef, *_ = np.linalg.lstsq(xt, y, rcond=None)
     return OutcomeModel(
         kind="ols",
         arm=arm,

@@ -173,3 +173,55 @@ class TestTrueRR:
 
     def test_missing_dgp_flag(self):
         assert main(["true-rr"]) == 2
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["experiment", "--dgp", "lunceford", "--reps", "abc"], "--reps"),
+            (["experiment", "--dgp", "lunceford", "--n-list", "100,x"], "--n-list"),
+            (["experiment", "--dgp", "lunceford", "--alpha", "small"], "--alpha"),
+            (["estimate", "--input", "in.csv", "--k", "two"], "--k"),
+            (["true-rr", "--dgp", "lunceford", "--draws", "1e6"], "--draws"),
+        ],
+    )
+    def test_bad_option_value_exits_two_naming_it(self, tmp_path, capsys, argv, option):
+        if argv[0] != "true-rr":
+            argv = argv + ["--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert option in capsys.readouterr().err
+
+    def test_bad_config_file_value_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("dgp=linear_rct\nreps=many\n", encoding="utf-8")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "--reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_bad_fold_count_in_estimator_spec_exits_two(self, tmp_path, capsys, command):
+        if command == "estimate":
+            source = ["--input", str(_write_toy_csv(tmp_path))]
+        else:
+            source = ["--dgp", "linear_rct"]
+        code = main([command, *source, "--estimators", "aipw:parametric:x",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "aipw:parametric:x" in capsys.readouterr().err
+
+
+class TestEstimateSpecs:
+    def test_specs_override_the_default_nuisance(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--dgp", "linear_rct", "--n", "400", "--seed", "3",
+                     "--out", str(sim_out)]) == 0
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--input", str(sim_out / "dataset.csv"), "--out", str(out),
+             "--estimators", "ipw,g:parametric,aipw:parametric:2,parametric_os",
+             "--nuisance", "parametric"]
+        )
+        assert code == 0
+        assert set(_read_report(out)) == {
+            "parametric_ipw", "parametric_g", "parametric_aipw", "parametric_os"
+        }
