@@ -200,6 +200,8 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
     """Accept ``method``, ``method:nuisance``, ``method:nuisance:k``,
     or the report-style label ``nuisance_method``."""
     parts = spec.split(":")
+    if len(parts) > 3:
+        raise ValidationError(f"estimator {spec!r} has more than three ':'-separated parts")
     method = parts[0]
     nuisance = cfg.get("nuisance", "parametric")
     k = cfg.get("k", 5)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import ObservationalDataset, write_csv
 from .errors import ValidationError
-from .nuisance import OutcomeModel, PropensityModel, constant_propensity, expit
+from .nuisance import Linear, Logistic, OutcomeModel, PropensityModel, constant_propensity, expit
 from .rng import CounterRng, derive_seed
 
 KINDS = (
@@ -235,38 +235,24 @@ def oracle_models(kind: str) -> tuple[PropensityModel, OutcomeModel, OutcomeMode
         e_model = constant_propensity(0.5, clip=ORACLE_CLIP)
     elif kind == "lunceford":
         coef = np.concatenate([_LUN_BETA_E, np.zeros(3)])
-        e_model = PropensityModel(
-            kind="logistic", clip=ORACLE_CLIP, intercept=0.0, coef=coef, n_features=6
-        )
+        e_model = PropensityModel(Logistic(0.0, coef), clip=ORACLE_CLIP, n_features=6)
     elif kind == "wager_nl_logistic":
         coef = np.array([0.0, -1.0, -1.0, 0.0, 0.0, 0.0])
-        e_model = PropensityModel(
-            kind="logistic", clip=ORACLE_CLIP, intercept=0.0, coef=coef, n_features=6
-        )
+        e_model = PropensityModel(Logistic(0.0, coef), clip=ORACLE_CLIP, n_features=6)
     else:
         e_model = PropensityModel(
-            kind="function",
-            clip=ORACLE_CLIP,
-            func=lambda x: _propensity("wager_nl_nonlogistic", x),
-            n_features=6,
+            lambda x: _propensity("wager_nl_nonlogistic", x), clip=ORACLE_CLIP, n_features=6
         )
     if kind == "linear_rct":
-        mu0 = OutcomeModel(kind="ols", arm=0, intercept=_LIN_C0, coef=_LIN_BETA0, n_features=6)
-        mu1 = OutcomeModel(kind="ols", arm=1, intercept=_LIN_C1, coef=_LIN_BETA1, n_features=6)
+        mu0 = OutcomeModel(Linear(_LIN_C0, _LIN_BETA0), arm=0, n_features=6)
+        mu1 = OutcomeModel(Linear(_LIN_C1, _LIN_BETA1), arm=1, n_features=6)
     elif kind == "lunceford":
-        mu0 = OutcomeModel(kind="ols", arm=0, intercept=0.0, coef=_LUN_BETA_B, n_features=6)
-        mu1 = OutcomeModel(
-            kind="ols", arm=1, intercept=_LUN_EFFECT, coef=_LUN_BETA_B, n_features=6
-        )
+        mu0 = OutcomeModel(Linear(0.0, _LUN_BETA_B), arm=0, n_features=6)
+        mu1 = OutcomeModel(Linear(_LUN_EFFECT, _LUN_BETA_B), arm=1, n_features=6)
     else:
-        mu0 = OutcomeModel(
-            kind="function", arm=0, func=lambda x, k=kind: _baseline(k, x), n_features=6
-        )
+        mu0 = OutcomeModel(lambda x, k=kind: _baseline(k, x), arm=0, n_features=6)
         mu1 = OutcomeModel(
-            kind="function",
-            arm=1,
-            func=lambda x, k=kind: _baseline(k, x) + _effect(k, x),
-            n_features=6,
+            lambda x, k=kind: _baseline(k, x) + _effect(k, x), arm=1, n_features=6
         )
     return e_model, mu0, mu1
 

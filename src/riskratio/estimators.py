@@ -276,12 +276,6 @@ def arm_functionals(d: ObservationalDataset, scores: CrossfitScores) -> ArmFunct
     )
 
 
-def crossfit_arm_functionals(
-    d: ObservationalDataset, folds: FoldPartition, recipe: NuisanceRecipe
-) -> ArmFunctionals:
-    return arm_functionals(d, crossfit_nuisances(d, folds, recipe))
-
-
 def rr_os(af: ArmFunctionals) -> RRPoint:
     """One-step corrected ratio built from the cross-fitted arm means."""
     if af.tau_g_0 == 0.0:

@@ -95,23 +95,25 @@ class RREstimate:
         return math.sqrt(self.v_hat / self.n)
 
 
-def _arm_views(d: ObservationalDataset):
-    treated = d.t == 1
-    return d.y[treated], d.y[~treated]
-
-
 def _check_arms(d: ObservationalDataset):
     if d.n1 == 0 or d.n0 == 0:
         raise ValidationError("variance needs both arms non-empty")
 
 
-def var_neyman(d: ObservationalDataset) -> float:
-    """Variance of the arm-means ratio, empirical share plugged in."""
+def _arm_moments(d: ObservationalDataset):
+    """Arm outcomes and their non-zero means ``(y1, y0, ybar1, ybar0)``."""
     _check_arms(d)
-    y1, y0 = _arm_views(d)
+    treated = d.t == 1
+    y1, y0 = d.y[treated], d.y[~treated]
     ybar1, ybar0 = float(y1.mean()), float(y0.mean())
     if ybar1 == 0.0 or ybar0 == 0.0:
         raise ValidationError("variance undefined: an arm mean is zero")
+    return y1, y0, ybar1, ybar0
+
+
+def var_neyman(d: ObservationalDataset) -> float:
+    """Variance of the arm-means ratio, empirical share plugged in."""
+    y1, y0, ybar1, ybar0 = _arm_moments(d)
     e_hat = d.n1 / d.n
     s2_1 = float(np.mean((y1 - ybar1) ** 2))
     s2_0 = float(np.mean((y0 - ybar0) ** 2))
@@ -123,11 +125,7 @@ def var_ht(d: ObservationalDataset, e: float) -> float:
     """Variance of the known-probability weighted ratio at probability ``e``."""
     if not 0.0 < e < 1.0:
         raise ValidationError(f"e must lie in (0, 1), got {e}")
-    _check_arms(d)
-    y1, y0 = _arm_views(d)
-    ybar1, ybar0 = float(y1.mean()), float(y0.mean())
-    if ybar1 == 0.0 or ybar0 == 0.0:
-        raise ValidationError("variance undefined: an arm mean is zero")
+    y1, y0, ybar1, ybar0 = _arm_moments(d)
     m2_1 = float(np.mean(y1**2))
     m2_0 = float(np.mean(y0**2))
     tau = rr_ht(d, e).value
@@ -186,11 +184,7 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
 
 def var_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> float:
     """Variance of the outcome-surface ratio via per-row contrasts."""
-    _check_arms(d)
-    y1, y0 = _arm_views(d)
-    ybar1, ybar0 = float(y1.mean()), float(y0.mean())
-    if ybar1 == 0.0 or ybar0 == 0.0:
-        raise ValidationError("variance undefined: an arm mean is zero")
+    _, _, ybar1, ybar0 = _arm_moments(d)
     pred1, pred0 = mu1.predict(d.x), mu0.predict(d.x)
     delta = pred1 / ybar1 - pred0 / ybar0
     tau = _ratio_point(float(pred1.mean()), float(pred0.mean()), "g").value

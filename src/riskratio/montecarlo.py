@@ -95,6 +95,8 @@ class EstimatorConfig:
             raise ValidationError("ht needs a known assignment probability e in (0, 1)")
         if self.method in ("os", "aipw") and self.k < 2:
             raise ValidationError("cross-fitted methods need k >= 2")
+        if self.n_trees < 1:
+            raise ValidationError("n_trees must be >= 1")
         if self.ci_style not in ("wald", "log_delta", "katz"):
             raise ValidationError(f"unknown interval style {self.ci_style!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -128,6 +130,11 @@ class ExperimentPlan:
             raise ValidationError(f"estimator labels must be unique, got {names}")
         for cfg in self.estimators:
             cfg.validate()
+            if cfg.method in ("os", "aipw") and cfg.k > min(self.sample_sizes):
+                raise ValidationError(
+                    f"{cfg.name}: k={cfg.k} folds exceed the smallest sample size "
+                    f"{min(self.sample_sizes)}"
+                )
             if cfg.ci_style == "katz":
                 # every built-in DGP has a continuous outcome
                 raise ValidationError(

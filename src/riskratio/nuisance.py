@@ -1,26 +1,34 @@
 """Nuisance-function learners: propensity scores and outcome surfaces.
 
-Available learners:
+A model is a *surface*, a callable from an ``(n, p)`` covariate matrix to
+``n`` raw predictions, plus a ``clip`` (:class:`PropensityModel`) or an
+``arm`` (:class:`OutcomeModel`).  Surfaces and the learners that fit them:
 
-* logistic maximum likelihood for the propensity score (Newton-Raphson
-  with step-halving; unpenalised by default, optional ridge rescue);
-* ordinary least squares for outcome surfaces;
-* bagged CART forests for both (see :mod:`riskratio.trees`).
+* :class:`Constant`: one value on every row;
+* :class:`Linear`: ``intercept + x @ coef``, fitted by ordinary least
+  squares for outcome surfaces;
+* :class:`Logistic`: ``expit`` of a linear index, fitted by logistic
+  maximum likelihood for the propensity score (Newton-Raphson with
+  step-halving; unpenalised by default, optional ridge rescue);
+* :class:`~riskratio.trees.Forest`: bagged CART trees for both (see
+  :mod:`riskratio.trees`);
+* any other callable, such as a known oracle surface (kind ``function``).
 
 Every propensity prediction is clipped to ``[clip, 1 - clip]`` so that no
 downstream estimator divides by a value outside that band.
 
-Fitted constant, logistic, and OLS models (and forests) serialise to a
-JSON object ``{"model": <kind>, ...}``; field names per kind:
+Models on the four named surfaces serialise to a JSON object
+``{"model": <kind>, "target": "propensity" | "outcome", ...}`` with
+``clip`` for a propensity and ``arm`` for an outcome; further fields per
+kind:
 
-* ``constant``: ``value``, ``clip`` (propensity only)
-* ``logistic``: ``intercept``, ``coef``, ``clip``
-* ``ols``: ``intercept``, ``coef``, ``arm``
+* ``constant``: ``value``
+* ``logistic`` (propensity only), ``ols`` (outcome only): ``intercept``,
+  ``coef``
 * ``forest``: ``config``, ``n_features``, ``trees`` (flat node arrays
-  ``feature``, ``threshold``, ``left``, ``right``, ``value``), plus
-  ``clip`` for classifiers and ``arm`` for regressors
+  ``feature``, ``threshold``, ``left``, ``right``, ``value``)
 
-``function`` models (used to wrap known oracle surfaces) do not serialise.
+``function`` models do not serialise.
 """
 
 from __future__ import annotations
@@ -58,61 +66,76 @@ def expit(s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PropensityModel:
-    """Fitted (or fixed) treatment-probability model with prediction clipping."""
+class Constant:
+    """Surface ``x -> value`` on every row."""
 
-    kind: str  # constant | logistic | forest | function
+    value: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.full(x.shape[0], self.value, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class Linear:
+    """Surface ``x -> intercept + x @ coef``."""
+
+    intercept: float
+    coef: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.intercept + x @ self.coef
+
+
+class Logistic(Linear):
+    """Surface ``x -> expit(intercept + x @ coef)``."""
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return expit(super().__call__(x))
+
+
+# serialisation tag of each surface type; any other callable is a "function"
+_KINDS = {Constant: "constant", Logistic: "logistic", Linear: "ols", Forest: "forest"}
+_TARGET_KINDS = {
+    "propensity": ("constant", "logistic", "forest"),
+    "outcome": ("constant", "ols", "forest"),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class PropensityModel:
+    """Treatment-probability surface whose predictions are clipped to ``[clip, 1 - clip]``."""
+
+    surface: Callable[[np.ndarray], np.ndarray]
     clip: float = DEFAULT_CLIP
-    value: float | None = None
-    intercept: float | None = None
-    coef: np.ndarray | None = None
-    forest: Forest | None = None
-    func: Callable[[np.ndarray], np.ndarray] | None = None
     n_features: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.clip <= 0.5:
             raise ValidationError("clip must lie in (0, 1/2]")
 
+    @property
+    def kind(self) -> str:
+        return _KINDS.get(type(self.surface), "function")
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _as_matrix(x, self.n_features)
-        if self.kind == "constant":
-            raw = np.full(x.shape[0], self.value, dtype=float)
-        elif self.kind == "logistic":
-            raw = expit(self.intercept + x @ self.coef)
-        elif self.kind == "forest":
-            raw = self.forest.predict(x)
-        elif self.kind == "function":
-            raw = np.asarray(self.func(x), dtype=float)
-        else:
-            raise ValidationError(f"unknown propensity model kind {self.kind!r}")
+        raw = np.asarray(self.surface(_as_matrix(x, self.n_features)), dtype=float)
         return np.clip(raw, self.clip, 1.0 - self.clip)
 
 
 @dataclass(frozen=True, eq=False)
 class OutcomeModel:
-    """Fitted (or fixed) outcome-surface model for one arm."""
+    """Outcome surface for one arm."""
 
-    kind: str  # ols | forest | constant | function
+    surface: Callable[[np.ndarray], np.ndarray]
     arm: int | None = None
-    value: float | None = None
-    intercept: float | None = None
-    coef: np.ndarray | None = None
-    forest: Forest | None = None
-    func: Callable[[np.ndarray], np.ndarray] | None = None
     n_features: int | None = None
 
+    @property
+    def kind(self) -> str:
+        return _KINDS.get(type(self.surface), "function")
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = _as_matrix(x, self.n_features)
-        if self.kind == "constant":
-            return np.full(x.shape[0], self.value, dtype=float)
-        if self.kind == "ols":
-            return self.intercept + x @ self.coef
-        if self.kind == "forest":
-            return self.forest.predict(x)
-        if self.kind == "function":
-            return np.asarray(self.func(x), dtype=float)
-        raise ValidationError(f"unknown outcome model kind {self.kind!r}")
+        return np.asarray(self.surface(_as_matrix(x, self.n_features)), dtype=float)
 
 
 def _as_matrix(x: np.ndarray, n_features: int | None) -> np.ndarray:
@@ -128,24 +151,14 @@ def _as_matrix(x: np.ndarray, n_features: int | None) -> np.ndarray:
     return x
 
 
-def predict_propensity(model: PropensityModel, x: np.ndarray) -> np.ndarray | float:
-    out = model.predict(x)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-def predict_outcome(model: OutcomeModel, x: np.ndarray) -> np.ndarray | float:
-    out = model.predict(x)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
 def constant_propensity(value: float, clip: float = DEFAULT_CLIP) -> PropensityModel:
     if not 0.0 < value < 1.0:
         raise ValidationError("constant propensity must lie in (0, 1)")
-    return PropensityModel(kind="constant", clip=clip, value=float(value))
+    return PropensityModel(Constant(float(value)), clip=clip)
 
 
 def constant_outcome(value: float, arm: int | None = None) -> OutcomeModel:
-    return OutcomeModel(kind="constant", arm=arm, value=float(value))
+    return OutcomeModel(Constant(float(value)), arm=arm)
 
 
 def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, beta, ridge: float) -> float:
@@ -202,11 +215,7 @@ def fit_logistic_mle(
                     f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
                 )
             return PropensityModel(
-                kind="logistic",
-                clip=clip,
-                intercept=float(beta[0]),
-                coef=beta[1:].copy(),
-                n_features=p,
+                Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=p
             )
         w = prob * (1.0 - prob)
         hess = (xt * w[:, None]).T @ xt / n + np.diag(penalty)
@@ -264,13 +273,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
                     f"design column {j} is linearly dependent on earlier columns"
                 )
             prev = r
-    return OutcomeModel(
-        kind="ols",
-        arm=arm,
-        intercept=float(coef[0]),
-        coef=coef[1:].copy(),
-        n_features=p,
-    )
+    return OutcomeModel(Linear(float(coef[0]), coef[1:].copy()), arm=arm, n_features=p)
 
 
 def fit_forest_regressor(
@@ -283,7 +286,7 @@ def fit_forest_regressor(
     x = np.asarray(x, dtype=float)
     cfg = cfg if cfg is not None else ForestConfig()
     forest = fit_forest(x, y, cfg, default_mtry=math.ceil(x.shape[1] / 3))
-    return OutcomeModel(kind="forest", arm=arm, forest=forest, n_features=x.shape[1])
+    return OutcomeModel(forest, arm=arm, n_features=x.shape[1])
 
 
 def fit_forest_classifier(
@@ -302,30 +305,29 @@ def fit_forest_classifier(
         raise ValidationError("classification labels must lie in {0, 1}")
     cfg = cfg if cfg is not None else ForestConfig()
     forest = fit_forest(x, t, cfg, default_mtry=math.ceil(math.sqrt(x.shape[1])))
-    return PropensityModel(kind="forest", clip=clip, forest=forest, n_features=x.shape[1])
+    return PropensityModel(forest, clip=clip, n_features=x.shape[1])
 
 
 def model_to_json(model: PropensityModel | OutcomeModel) -> str:
-    """Serialise a fitted model; ``function`` models are not serialisable."""
-    if model.kind == "function":
+    """Serialise a model; ``function`` models are not serialisable."""
+    kind = model.kind
+    if kind == "function":
         raise ValidationError("function-backed models cannot be serialised")
-    obj: dict = {"model": model.kind}
+    obj: dict = {"model": kind}
     if isinstance(model, PropensityModel):
         obj["target"] = "propensity"
         obj["clip"] = model.clip
     else:
         obj["target"] = "outcome"
         obj["arm"] = model.arm
-    if model.kind == "constant":
-        obj["value"] = model.value
-    elif model.kind == "logistic":
-        obj["intercept"] = model.intercept
-        obj["coef"] = model.coef.tolist()
-    elif model.kind == "ols":
-        obj["intercept"] = model.intercept
-        obj["coef"] = model.coef.tolist()
-    elif model.kind == "forest":
-        obj.update(forest_to_dict(model.forest))
+    surface = model.surface
+    if isinstance(surface, Constant):
+        obj["value"] = surface.value
+    elif isinstance(surface, Linear):
+        obj["intercept"] = surface.intercept
+        obj["coef"] = surface.coef.tolist()
+    else:
+        obj.update(forest_to_dict(surface))
     return json.dumps(obj)
 
 
@@ -333,38 +335,17 @@ def model_from_json(text: str) -> PropensityModel | OutcomeModel:
     obj = json.loads(text)
     kind = obj["model"]
     target = obj["target"]
-    if target == "propensity":
-        if kind == "constant":
-            return PropensityModel(kind=kind, clip=obj["clip"], value=obj["value"])
-        if kind == "logistic":
-            coef = np.asarray(obj["coef"], dtype=float)
-            return PropensityModel(
-                kind=kind,
-                clip=obj["clip"],
-                intercept=obj["intercept"],
-                coef=coef,
-                n_features=coef.size,
-            )
-        if kind == "forest":
-            forest = forest_from_dict(obj)
-            return PropensityModel(
-                kind=kind, clip=obj["clip"], forest=forest, n_features=forest.n_features
-            )
+    if kind not in _TARGET_KINDS.get(target, ()):
+        raise ValidationError(f"cannot deserialise model kind {kind!r} for {target!r}")
+    if kind == "constant":
+        surface, n_features = Constant(obj["value"]), None
+    elif kind == "forest":
+        surface = forest_from_dict(obj)
+        n_features = surface.n_features
     else:
-        if kind == "constant":
-            return OutcomeModel(kind=kind, arm=obj["arm"], value=obj["value"])
-        if kind == "ols":
-            coef = np.asarray(obj["coef"], dtype=float)
-            return OutcomeModel(
-                kind=kind,
-                arm=obj["arm"],
-                intercept=obj["intercept"],
-                coef=coef,
-                n_features=coef.size,
-            )
-        if kind == "forest":
-            forest = forest_from_dict(obj)
-            return OutcomeModel(
-                kind=kind, arm=obj["arm"], forest=forest, n_features=forest.n_features
-            )
-    raise ValidationError(f"cannot deserialise model kind {kind!r} for {target!r}")
+        coef = np.asarray(obj["coef"], dtype=float)
+        surface = (Logistic if kind == "logistic" else Linear)(obj["intercept"], coef)
+        n_features = coef.size
+    if target == "propensity":
+        return PropensityModel(surface, clip=obj["clip"], n_features=n_features)
+    return OutcomeModel(surface, arm=obj["arm"], n_features=n_features)

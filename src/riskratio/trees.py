@@ -117,6 +117,9 @@ class Forest:
             out += tree.predict(x)
         return out / len(self.trees)
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.predict(x)
+
 
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, default_mtry: int) -> Forest:
     x = np.asarray(x, dtype=np.float64)

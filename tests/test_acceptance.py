@@ -108,12 +108,12 @@ def test_c05_fitted_models_satisfy_their_estimating_equations():
             d = generate(DGPSpec(kind=kind, n=2000, seed=100 * seed + rep)).dataset
             model = fit_logistic_mle(d.x, d.t)
             xt = np.column_stack([np.ones(d.n), d.x])
-            prob = expit(model.intercept + d.x @ model.coef)
+            prob = expit(model.surface.intercept + d.x @ model.surface.coef)
             worst_score = max(worst_score, np.max(np.abs(xt.T @ (d.t - prob) / d.n)))
             for arm in (0, 1):
                 rows = d.t == arm
                 ols = fit_ols(d.x[rows], d.y[rows])
-                resid = d.y[rows] - (ols.intercept + d.x[rows] @ ols.coef)
+                resid = d.y[rows] - (ols.surface.intercept + d.x[rows] @ ols.surface.coef)
                 design = np.column_stack([np.ones(rows.sum()), d.x[rows]])
                 scale = max(1.0, np.sqrt(np.mean(d.y[rows] ** 2)) * np.abs(design).max())
                 worst_ols = max(

@@ -156,6 +156,24 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+class TestImpossiblePlans:
+    @pytest.mark.parametrize(
+        "n_list, estimator, extra",
+        [
+            ("60", "aipw:forest:2", ["--n-trees", "0"]),
+            ("20", "aipw:parametric:50", []),
+            ("60", "aipw:parametric:2:junk", []),
+        ],
+    )
+    def test_plan_that_cannot_succeed_exits_two(self, tmp_path, n_list, estimator, extra):
+        out = tmp_path / "o"
+        code = main(["experiment", "--dgp", "linear_rct", "--n-list", n_list, "--reps", "2",
+                     "--estimators", estimator, "--truth-draws", "1000", *extra,
+                     "--out", str(out)])
+        assert code == 2
+        assert not (out / "report.json").exists()
+
+
 class TestTrueRR:
     def test_closed_form_printed(self, capsys):
         assert main(["true-rr", "--dgp", "linear_rct"]) == 0

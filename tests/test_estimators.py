@@ -12,7 +12,6 @@ from riskratio import (
     arm_functionals,
     constant_outcome,
     constant_propensity,
-    crossfit_arm_functionals,
     crossfit_nuisances,
     make_folds,
     rr_aipw,
@@ -152,15 +151,18 @@ class TestCrossfit:
         # E[Y(1)] = 2 + E[baseline] = 4.55 on the mixture design
         sample = generate(DGPSpec(kind="lunceford", n=20_000, seed=23))
         folds = make_folds(20_000, 5, seed=1)
-        af = crossfit_arm_functionals(sample.dataset, folds, oracle_recipe("lunceford"))
+        scores = crossfit_nuisances(sample.dataset, folds, oracle_recipe("lunceford"))
+        af = arm_functionals(sample.dataset, scores)
         assert af.tau_aipw_1 == pytest.approx(4.55, abs=0.15)
         assert af.tau_aipw_0 == pytest.approx(2.55, abs=0.15)
 
     def test_fold_counts_agree_within_noise(self):
         sample = generate(DGPSpec(kind="lunceford", n=2_000, seed=24))
         recipe = NuisanceRecipe()
-        af2 = crossfit_arm_functionals(sample.dataset, make_folds(2000, 2, 5), recipe)
-        af5 = crossfit_arm_functionals(sample.dataset, make_folds(2000, 5, 5), recipe)
+        scores2 = crossfit_nuisances(sample.dataset, make_folds(2000, 2, 5), recipe)
+        scores5 = crossfit_nuisances(sample.dataset, make_folds(2000, 5, 5), recipe)
+        af2 = arm_functionals(sample.dataset, scores2)
+        af5 = arm_functionals(sample.dataset, scores5)
         v2, v5 = rr_aipw(af2).value, rr_aipw(af5).value
         assert np.isfinite(v2) and np.isfinite(v5)
         assert abs(v2 - v5) < 0.2
@@ -174,7 +176,7 @@ class TestCrossfit:
             fixed_mu0=constant_outcome(1.0),
             fixed_mu1=constant_outcome(1.0),
         )
-        af = crossfit_arm_functionals(d, make_folds(6, 3, 0), recipe)
+        af = arm_functionals(d, crossfit_nuisances(d, make_folds(6, 3, 0), recipe))
         assert af.tau_aipw_1 == 1.0 and af.tau_aipw_0 == 1.0
         assert rr_aipw(af).value == 1.0
 
@@ -263,7 +265,8 @@ class TestOneStepAndAIPW:
     def test_linear_nuisances_near_truth(self):
         sample = generate(DGPSpec(kind="lunceford", n=5_000, seed=25))
         folds = make_folds(5_000, 5, seed=2)
-        af = crossfit_arm_functionals(sample.dataset, folds, NuisanceRecipe())
+        scores = crossfit_nuisances(sample.dataset, folds, NuisanceRecipe())
+        af = arm_functionals(sample.dataset, scores)
         assert rr_aipw(af).value == pytest.approx(LUNCEFORD_TRUE_RR, abs=0.1)
 
 
@@ -298,7 +301,7 @@ def test_point_estimates_deterministic():
     runs = []
     for _ in range(2):
         folds = make_folds(1_000, 5, seed=7)
-        af = crossfit_arm_functionals(sample.dataset, folds, recipe)
+        af = arm_functionals(sample.dataset, crossfit_nuisances(sample.dataset, folds, recipe))
         runs.append((rr_aipw(af).value, rr_os(af).value))
     assert runs[0] == runs[1]
 
@@ -322,7 +325,8 @@ def test_oracle_estimates_tighten_with_sample_size():
             for rep in range(reps):
                 sample = generate(DGPSpec(kind=kind, n=n, seed=31_000 + 7 * rep))
                 folds = make_folds(n, 2, seed=rep)
-                af = crossfit_arm_functionals(sample.dataset, folds, recipe)
+                scores = crossfit_nuisances(sample.dataset, folds, recipe)
+                af = arm_functionals(sample.dataset, scores)
                 errs.append(abs(rr_aipw(af).value - truth))
             errors[n] = float(np.median(errs))
         assert errors[5_000] < errors[500], (kind, errors)

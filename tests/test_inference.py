@@ -27,7 +27,7 @@ from riskratio import (
 )
 from riskratio.dgp import DGPSpec, generate, oracle_models
 from riskratio.estimators import CrossfitScores, FoldPartition, RRPoint
-from riskratio.nuisance import OutcomeModel, PropensityModel
+from riskratio.nuisance import Constant, Linear, Logistic, OutcomeModel, PropensityModel
 
 
 def _phi(x):
@@ -123,9 +123,7 @@ class TestVarIPW:
 
     def test_six_row_hand_value(self):
         e_by_row = np.array([0.4, 0.5, 0.8, 0.7, 0.5, 0.4])
-        model = PropensityModel(
-            kind="function", clip=1e-9, func=lambda x: e_by_row[x[:, 0].astype(int)]
-        )
+        model = PropensityModel(lambda x: e_by_row[x[:, 0].astype(int)], clip=1e-9)
         x = np.arange(6.0).reshape(-1, 1)
         d = dataset_from(t=[1, 1, 1, 0, 0, 0], y=[2.0, 3.0, 1.0, 1.0, 2.0, 4.0], x=x)
         num1 = ((2 / 0.4) ** 2 + (3 / 0.5) ** 2 + (1 / 0.8) ** 2) / 6
@@ -143,9 +141,7 @@ class TestVarIPW:
         d = dataset_from(
             t=(g.random(200) < 0.5).astype(int), y=g.uniform(0.5, 2.0, 200), x=x
         )
-        extreme = PropensityModel(
-            kind="logistic", clip=0.01, intercept=0.0, coef=np.array([50.0]), n_features=1
-        )
+        extreme = PropensityModel(Logistic(0.0, np.array([50.0])), clip=0.01, n_features=1)
         v = var_ipw(d, extreme)
         assert np.isfinite(v) and v >= 0.0
 
@@ -171,7 +167,7 @@ class TestVarIPWAdjusted:
 
     def test_requires_logistic_model(self):
         d = random_dataset(3)
-        forest_like = PropensityModel(kind="function", func=lambda x: np.full(len(x), 0.5))
+        forest_like = PropensityModel(lambda x: np.full(len(x), 0.5))
         with pytest.raises(ValidationError):
             var_ipw_mle_adjusted(d, forest_like)
 
@@ -179,13 +175,13 @@ class TestVarIPWAdjusted:
 class TestVarG:
     def test_proportional_constant_surfaces_give_zero(self):
         d = random_dataset(11)
-        mu0 = OutcomeModel(kind="constant", value=1.5)
-        mu1 = OutcomeModel(kind="constant", value=3.0)
+        mu0 = OutcomeModel(Constant(1.5))
+        mu1 = OutcomeModel(Constant(3.0))
         assert var_g(d, mu0, mu1) == pytest.approx(0.0, abs=1e-25)
 
     def test_no_effect_surfaces_reduce_to_scaled_prediction_variance(self):
         d = random_dataset(12, n=80)
-        shared = OutcomeModel(kind="ols", intercept=1.0, coef=np.array([0.7, -0.2]), n_features=2)
+        shared = OutcomeModel(Linear(1.0, np.array([0.7, -0.2])), n_features=2)
         y1, y0 = d.y[d.t == 1], d.y[d.t == 0]
         ybar1, ybar0 = y1.mean(), y0.mean()
         pred = shared.predict(d.x)
@@ -196,8 +192,8 @@ class TestVarG:
     def test_four_row_hand_value(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         d = dataset_from(t=[1, 0, 1, 0], y=[2.0, 1.0, 4.0, 3.0], x=x)
-        mu1 = OutcomeModel(kind="ols", intercept=0.0, coef=np.array([1.0]), n_features=1)
-        mu0 = OutcomeModel(kind="ols", intercept=0.5, coef=np.array([0.5]), n_features=1)
+        mu1 = OutcomeModel(Linear(0.0, np.array([1.0])), n_features=1)
+        mu0 = OutcomeModel(Linear(0.5, np.array([0.5])), n_features=1)
         # arm means 3 and 2; deltas x/3 - (0.5 + 0.5 x)/2; tau = 2.5/1.75
         deltas = np.array([v / 3.0 - (0.5 + 0.5 * v) / 2.0 for v in (1.0, 2.0, 3.0, 4.0)])
         expected = (2.5 / 1.75) ** 2 * np.mean((deltas - deltas.mean()) ** 2)
@@ -332,8 +328,8 @@ class TestIntervals:
 
 class TestVarianceInvariants:
     def test_non_negative_and_permutation_invariant(self):
-        mu0 = OutcomeModel(kind="ols", intercept=1.0, coef=np.array([0.5, 0.1]), n_features=2)
-        mu1 = OutcomeModel(kind="ols", intercept=2.0, coef=np.array([-0.5, 0.3]), n_features=2)
+        mu0 = OutcomeModel(Linear(1.0, np.array([0.5, 0.1])), n_features=2)
+        mu1 = OutcomeModel(Linear(2.0, np.array([-0.5, 0.3])), n_features=2)
         model = constant_propensity(0.4)
         for seed in range(20):
             d = random_dataset(seed, n=50)

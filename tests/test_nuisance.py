@@ -13,16 +13,14 @@ from riskratio import (
     fit_ols,
     model_from_json,
     model_to_json,
-    predict_outcome,
-    predict_propensity,
 )
 from riskratio.dgp import DGPSpec, generate
-from riskratio.nuisance import OutcomeModel, PropensityModel, expit
+from riskratio.nuisance import Linear, Logistic, OutcomeModel, PropensityModel, expit
 
 
 def _score_norm(x, t, model):
     xt = np.column_stack([np.ones(len(t)), x])
-    p = expit(model.intercept + x @ model.coef)
+    p = expit(model.surface.intercept + x @ model.surface.coef)
     return np.max(np.abs(xt.T @ (t - p) / len(t)))
 
 
@@ -31,8 +29,8 @@ def test_logistic_recovers_design_coefficients():
     sample = generate(DGPSpec(kind="lunceford", n=20_000, seed=4))
     model = fit_logistic_mle(sample.dataset.x, sample.dataset.t)
     target = np.array([-0.6, 0.6, -0.6, 0.0, 0.0, 0.0])
-    assert np.all(np.abs(model.coef - target) < 0.1)
-    assert abs(model.intercept) < 0.1
+    assert np.all(np.abs(model.surface.coef - target) < 0.1)
+    assert abs(model.surface.intercept) < 0.1
     assert _score_norm(sample.dataset.x, sample.dataset.t, model) <= 1e-8
 
 
@@ -41,8 +39,8 @@ def test_logistic_no_signal_gives_zero_coefficients():
     x = g.normal(size=(20_000, 3))
     t = (g.random(20_000) < 0.5).astype(int)
     model = fit_logistic_mle(x, t)
-    assert np.all(np.abs(model.coef) < 0.05)
-    assert abs(model.intercept) < 0.05
+    assert np.all(np.abs(model.surface.coef) < 0.05)
+    assert abs(model.surface.intercept) < 0.05
 
 
 def test_logistic_detects_perfect_separation():
@@ -58,7 +56,7 @@ def test_logistic_ridge_rescues_separated_data():
     x = g.normal(size=(200, 1))
     t = (x[:, 0] > 0).astype(int)
     model = fit_logistic_mle(x, t, ridge=1.0)
-    assert np.isfinite(model.coef).all()
+    assert np.isfinite(model.surface.coef).all()
 
 
 def test_logistic_preconditions():
@@ -80,8 +78,8 @@ def test_ols_exact_line():
     x = np.array([[0.0], [1.0], [2.0], [5.0]])
     y = 6.0 + 3.0 * x[:, 0]
     model = fit_ols(x, y)
-    assert model.intercept == pytest.approx(6.0, abs=1e-10)
-    assert model.coef[0] == pytest.approx(3.0, abs=1e-10)
+    assert model.surface.intercept == pytest.approx(6.0, abs=1e-10)
+    assert model.surface.coef[0] == pytest.approx(3.0, abs=1e-10)
 
 
 def test_ols_recovers_linear_design_arm():
@@ -89,16 +87,16 @@ def test_ols_recovers_linear_design_arm():
     d = sample.dataset
     rows = d.t == 0
     model = fit_ols(d.x[rows], d.y[rows])
-    assert abs(model.intercept - 6.0) < 0.1
-    assert np.all(np.abs(model.coef - np.array([3.0, -7.0, 1.0, 4.0, -2.0, 2.0])) < 0.1)
+    assert abs(model.surface.intercept - 6.0) < 0.1
+    assert np.all(np.abs(model.surface.coef - np.array([3.0, -7.0, 1.0, 4.0, -2.0, 2.0])) < 0.1)
 
 
 def test_ols_constant_outcome():
     g = np.random.default_rng(3)
     x = g.normal(size=(40, 2))
     model = fit_ols(x, np.full(40, 2.5))
-    assert model.intercept == pytest.approx(2.5, abs=1e-10)
-    assert np.all(np.abs(model.coef) < 1e-10)
+    assert model.surface.intercept == pytest.approx(2.5, abs=1e-10)
+    assert np.all(np.abs(model.surface.coef) < 1e-10)
 
 
 def test_ols_normal_equations_residual():
@@ -107,7 +105,7 @@ def test_ols_normal_equations_residual():
     y = 1.0 + x @ np.array([2.0, -1.0, 0.5, 3.0]) + g.normal(size=300)
     model = fit_ols(x, y)
     xt = np.column_stack([np.ones(300), x])
-    resid = y - (model.intercept + x @ model.coef)
+    resid = y - (model.surface.intercept + x @ model.surface.coef)
     scale = np.sqrt(np.mean(y**2)) * np.abs(xt).max()
     assert np.max(np.abs(xt.T @ resid / 300)) <= 1e-8 * max(scale, 1.0)
 
@@ -121,30 +119,26 @@ def test_ols_rank_deficiency_names_column():
 
 
 def test_predict_logistic_at_zero_is_half():
-    model = PropensityModel(kind="logistic", intercept=0.0, coef=np.zeros(2), n_features=2)
-    assert predict_propensity(model, np.array([3.0, -4.0])) == 0.5
+    model = PropensityModel(Logistic(0.0, np.zeros(2)), n_features=2)
+    assert model.predict(np.array([3.0, -4.0]))[0] == 0.5
 
 
 def test_predict_ols_row():
-    model = OutcomeModel(kind="ols", intercept=1.0, coef=np.array([2.0]), n_features=1)
-    assert predict_outcome(model, np.array([3.0])) == 7.0
+    model = OutcomeModel(Linear(1.0, np.array([2.0])), n_features=1)
+    assert model.predict(np.array([3.0]))[0] == 7.0
 
 
 def test_propensity_clipping():
-    model = PropensityModel(
-        kind="logistic", clip=0.01, intercept=10.0, coef=np.array([0.0]), n_features=1
-    )
-    assert predict_propensity(model, np.array([0.0])) == pytest.approx(0.99)
-    low = PropensityModel(
-        kind="logistic", clip=0.01, intercept=-10.0, coef=np.array([0.0]), n_features=1
-    )
-    assert predict_propensity(low, np.array([0.0])) == pytest.approx(0.01)
+    model = PropensityModel(Logistic(10.0, np.array([0.0])), clip=0.01, n_features=1)
+    assert model.predict(np.array([0.0]))[0] == pytest.approx(0.99)
+    low = PropensityModel(Logistic(-10.0, np.array([0.0])), clip=0.01, n_features=1)
+    assert low.predict(np.array([0.0]))[0] == pytest.approx(0.01)
 
 
 def test_predict_dimension_mismatch():
-    model = OutcomeModel(kind="ols", intercept=0.0, coef=np.array([1.0, 2.0]), n_features=2)
+    model = OutcomeModel(Linear(0.0, np.array([1.0, 2.0])), n_features=2)
     with pytest.raises(ValidationError, match="dimension"):
-        predict_outcome(model, np.array([1.0]))
+        model.predict(np.array([1.0]))
 
 
 def test_clip_validation():
