@@ -284,6 +284,8 @@ def cmd_experiment(cfg: dict) -> int:
         truth_draws=cfg["truth_draws"],
         workers=cfg["workers"],
     )
+    plan.validate()
+    plan.check_parametric_rows()
     report = run_experiment(plan)
     _write_resolved(cfg)
     write_report_csv(report, os.path.join(cfg["out"], "report.csv"))

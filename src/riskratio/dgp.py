@@ -49,6 +49,8 @@ KINDS = (
     "wager_nl_nonlogistic",
 )
 
+N_COVARIATES = 6  # every design draws six covariates
+
 ORACLE_CLIP = 1e-6  # oracle propensities are essentially unclipped
 
 _STREAM_COVARIATES = 0

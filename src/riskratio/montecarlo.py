@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ObservationalDataset
-from .dgp import KINDS, DGPSpec, generate, oracle_models, true_rr
+from .dgp import KINDS, N_COVARIATES, DGPSpec, generate, oracle_models, true_rr
 from .errors import EstimationError, ValidationError
 from .estimators import (
     NuisanceRecipe,
@@ -143,6 +143,27 @@ class ExperimentPlan:
                 )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+
+    def check_parametric_rows(self) -> None:
+        """Reject parametric nuisances that no replication can fit.
+
+        OLS on one arm needs ``p + 1`` rows, so the smallest training set
+        must hold ``2 (p + 1)``: ``n`` for ``ipw`` / ``g``, the smallest fold
+        complement ``n - ceil(n / k)`` for ``os`` / ``aipw``.  The CLI calls
+        this after :meth:`validate`; ``run_experiment`` does not, so such a
+        plan still runs from Python and counts every replication as failed.
+        """
+        need = 2 * (N_COVARIATES + 1)
+        n = min(self.sample_sizes)
+        for cfg in self.estimators:
+            if cfg.nuisance != "parametric" or cfg.method in ("neyman", "ht"):
+                continue
+            rows = n - (n + cfg.k - 1) // cfg.k if cfg.method in ("os", "aipw") else n
+            if rows < need:
+                raise ValidationError(
+                    f"{cfg.name}: parametric nuisances need {need} training rows "
+                    f"({N_COVARIATES + 1} per arm), but sample size {n} leaves {rows}"
+                )
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,23 @@ def derive_seed(seed: int, *keys: int) -> int:
     return s
 
 
+def _draws(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    return _mix64(seeds + (counters + _U64(1)) * _GOLDEN)
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    return (z >> _U64(11)) * 2.0**-53
+
+
+def uniforms_at(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniform draw ``counters`` of the streams ``seeds``, broadcast together.
+
+    Both arguments are ``uint64`` arrays; draw ``i`` of seed ``s`` is the
+    value ``CounterRng(s)`` returns as its ``i``-th uniform.
+    """
+    return _unit(_draws(seeds, counters))
+
+
 class CounterRng:
     """Stateful cursor over the counter-based stream for one seed."""
 
@@ -72,13 +89,15 @@ class CounterRng:
         return int(self._seed)
 
     def _raw(self, n: int) -> np.ndarray:
+        # idx dies on return, before uniforms() shifts the draws: one array
+        # fewer at the peak of a large call (48 MB for true_rr's 6e6 draws)
         idx = np.arange(self._pos, self._pos + n, dtype=np.uint64)
         self._pos += n
-        return _mix64(self._seed + (idx + _U64(1)) * _GOLDEN)
+        return _draws(self._seed, idx)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` uniforms in [0, 1) with 53-bit resolution."""
-        return (self._raw(n) >> _U64(11)) * 2.0**-53
+        return _unit(self._raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal deviates (Box-Muller on uniform pairs)."""

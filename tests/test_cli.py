@@ -163,6 +163,7 @@ class TestImpossiblePlans:
             ("60", "aipw:forest:2", ["--n-trees", "0"]),
             ("20", "aipw:parametric:50", []),
             ("60", "aipw:parametric:2:junk", []),
+            ("10", "aipw:parametric:5,g", []),
         ],
     )
     def test_plan_that_cannot_succeed_exits_two(self, tmp_path, n_list, estimator, extra):

@@ -1,5 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from forest_oracle import fit_forest_oracle, predict_oracle
 
 from riskratio import (
     ForestConfig,
@@ -10,7 +17,9 @@ from riskratio import (
     model_to_json,
 )
 from riskratio.dgp import DGPSpec, generate
+from riskratio import trees
 from riskratio.rng import CounterRng
+from riskratio.trees import fit_forest, forest_to_dict
 
 
 def test_constant_target_predicts_constant():
@@ -107,3 +116,73 @@ def test_forest_json_round_trip():
     model = fit_forest_regressor(x, y, ForestConfig(n_trees=5, seed=9))
     back = model_from_json(model_to_json(model))
     assert np.array_equal(back.predict(x), model.predict(x))
+
+
+@pytest.mark.parametrize(
+    "column, bad",
+    [("x", np.nan), ("x", -np.inf), ("y", np.inf), ("y", np.nan)],
+)
+def test_non_finite_inputs_rejected(column, bad):
+    g = np.random.default_rng(9)
+    x = g.normal(size=(40, 3))
+    y = g.normal(size=40)
+    if column == "x":
+        x[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        fit_forest_regressor(x, y, ForestConfig(n_trees=3, seed=1))
+
+
+@st.composite
+def forest_problems(draw):
+    """Small problems with repeated x values and real, binary or constant y."""
+    p = draw(st.integers(1, 4))
+    min_leaf = draw(st.integers(1, 5))
+    n = draw(st.integers(2 * min_leaf, 40))
+    x_values = st.sampled_from([-1.5, 0.0, 0.25, 2.0, 3.0, 7.5])
+    x = draw(arrays(np.float64, (n, p), elements=x_values))
+    y_kind = draw(st.sampled_from(["real", "binary", "constant"]))
+    if y_kind == "real":
+        # sevenths are inexact, so summing them in another order moves bits
+        sevenths = st.integers(-700, 700).map(lambda v: v / 7.0)
+        y = draw(arrays(np.float64, n, elements=st.one_of(sevenths, st.floats(-100.0, 100.0))))
+    elif y_kind == "binary":
+        y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    else:
+        y = np.full(n, draw(st.floats(-5.0, 5.0)))
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 7)),
+        max_depth=draw(st.sampled_from([None, 0, 2])),
+        min_leaf=min_leaf,
+        mtry=draw(st.integers(1, p)),
+        bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return x, y, cfg
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_problems())
+def test_lockstep_growth_matches_per_node_oracle(problem):
+    x, y, cfg = problem
+    forest = fit_forest(x, y, cfg, default_mtry=1)
+    oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
+    # JSON text also tells -0.0 from 0.0, which dict equality does not
+    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
+    assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 50, 700])
+def test_any_block_budget_matches_oracle(monkeypatch, budget):
+    # split scans and predictions run in blocks of at most _CELL_BUDGET
+    # cells; the blocking must not change a bit of the trees or predictions
+    monkeypatch.setattr(trees, "_CELL_BUDGET", budget)
+    g = np.random.default_rng(12)
+    x = np.round(g.normal(size=(120, 5)), 1)
+    y = np.sin(x[:, 0]) + g.normal(size=120)
+    cfg = ForestConfig(n_trees=9, min_leaf=2, mtry=3, seed=13)
+    forest = fit_forest(x, y, cfg, default_mtry=1)
+    oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
+    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
+    assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()

@@ -6,7 +6,11 @@ parametric, forest and oracle nuisances on one fixed sample, stored as
 nuisance-fitting path, the forest seeds or the variance formulas that moves
 a single bit shows up here.  The ``model_to_json`` text of one model of each
 serialisable kind is pinned by its sha256, and a JSON round trip must
-predict bit for bit.
+predict bit for bit.  Forests in the ``mc_forest`` benchmark shape (100
+trees on a 250-row fold complement of ``wager_nl_nonlogistic``) and small
+forests under non-default growth settings pin both their JSON text and
+their predictions, so any change to tree growth, its random draws or the
+ensemble mean shows up here.
 """
 
 import hashlib
@@ -100,3 +104,89 @@ def test_model_json_round_trip_predicts_bit_for_bit(sample, models, name):
     model = models[name]
     back = model_from_json(model_to_json(model))
     assert np.array_equal(back.predict(sample.x), model.predict(sample.x))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _predict_digest(pred: np.ndarray) -> str:
+    return _sha256(",".join(float(v).hex() for v in pred))
+
+
+@pytest.fixture(scope="module")
+def wager():
+    """500 rows of wager_nl_nonlogistic: fit on the first 250, predict on all."""
+    return generate(DGPSpec(kind="wager_nl_nonlogistic", n=500, seed=5)).dataset
+
+
+# name -> (learner, ForestConfig keyword arguments); the classifier fits
+# (x, t) on the 250 training rows, the regressor (x, y) on their control arm
+FOREST_CASES = {
+    "mc_forest_classifier": ("classifier", dict(n_trees=100, seed=17)),
+    "mc_forest_regressor": ("regressor", dict(n_trees=100, seed=17)),
+    "min_leaf_1_classifier": ("classifier", dict(n_trees=5, min_leaf=1, seed=3)),
+    "min_leaf_1_regressor": ("regressor", dict(n_trees=5, min_leaf=1, seed=3)),
+    "depth_3_all_features_classifier": ("classifier", dict(n_trees=5, max_depth=3, mtry=6, seed=4)),
+    "depth_3_all_features_regressor": ("regressor", dict(n_trees=5, max_depth=3, mtry=6, seed=4)),
+    "no_bootstrap_classifier": ("classifier", dict(n_trees=5, bootstrap=False, seed=6)),
+    "no_bootstrap_regressor": ("regressor", dict(n_trees=5, bootstrap=False, seed=6)),
+}
+
+# name -> (sha256 of model_to_json, sha256 of the float.hex predictions)
+GOLDEN_FOREST = {
+    "mc_forest_classifier": (
+        "d08077335bd5d2a3d12f4df04e47b9b0fde4e078c1d7d5206435a46a4295a5cd",
+        "e93d3c9f929373ab44d50d914ff2c1bfd562da8fe3357b16691b4f873df4a663",
+    ),
+    "mc_forest_regressor": (
+        "833342d8efb2e3fbcac7581c2a12a83da184242aa45a4a8dc94a775b6258fd4e",
+        "f2021ee5afa69efb5ad7ea980fd9562c3655dfc78af666d7ea5dc5606dd7c3dc",
+    ),
+    "min_leaf_1_classifier": (
+        "d79a14ad4347bf8ce420335f10ef0f5945bf14bc280e634272c7c5eda7529ea2",
+        "8087dd549b7c760e520be59aad1a05f5ec8c923bf20466aa896f27ada42d48e5",
+    ),
+    "min_leaf_1_regressor": (
+        "457186a1336292a25af1531572fe720288f97af77364c197c08d476f99ef68cf",
+        "f2577ac1e5900165273c6bd4fbb5e4377fe2808da8954d882055243da5fbec1a",
+    ),
+    "depth_3_all_features_classifier": (
+        "e8174b5c357829c879f44a8cf6a544b15ab2a565221d10cac2a0679ad33bc280",
+        "f9472be971041aef1d51afe875eda4e0d27b6583ebc06e62cb19136856dce78c",
+    ),
+    "depth_3_all_features_regressor": (
+        "8019abb2397804447733bd18fb66f0fd19c397b3d3cdda6bdb18bb0a6c1057bc",
+        "05b30b79b46d50bb97f0650921f5d860cb43d5bc606876fa168282bc51a26934",
+    ),
+    "no_bootstrap_classifier": (
+        "e7d49e1e9b2048e38d9a2aa663ba96d61f9813a232631bb393e68521d597b151",
+        "850f1280ff7ade2a5a45bdc00a29b38b0053d9e854a47ca8439f8b61fc8ee8b2",
+    ),
+    "no_bootstrap_regressor": (
+        "324b5eb22777e6a44fba5001cf45851bbaf1fdb7720d76f2ff6abeac9ffdfd9b",
+        "6da1f038e0a4127748917c0a00d536d8d03fd4f0621f4ed3be752cade46be0ea",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def forests(wager):
+    x, t, y = wager.x[:250], wager.t[:250], wager.y[:250]
+    control = t == 0
+    out = {}
+    for name, (learner, kwargs) in FOREST_CASES.items():
+        cfg = ForestConfig(**kwargs)
+        if learner == "classifier":
+            out[name] = fit_forest_classifier(x, t, cfg)
+        else:
+            out[name] = fit_forest_regressor(x[control], y[control], cfg, arm=0)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_CASES))
+def test_forest_json_and_predictions_are_bit_identical(wager, forests, name):
+    model = forests[name]
+    json_sha, predict_sha = GOLDEN_FOREST[name]
+    assert _sha256(model_to_json(model)) == json_sha
+    assert _predict_digest(model.predict(wager.x)) == predict_sha

@@ -132,6 +132,24 @@ class TestPlanValidation:
         with pytest.raises(ValidationError, match="unique"):
             plan.validate()
 
+    @pytest.mark.parametrize(
+        "method, k, n_ok",
+        [("g", 2, 14), ("ipw", 2, 14), ("os", 2, 28), ("aipw", 5, 18)],
+    )
+    def test_parametric_plans_need_p_plus_one_rows_per_arm(self, method, k, n_ok):
+        # six covariates: the smallest training set must hold 2 * 7 = 14 rows;
+        # it is n for ipw / g and n - ceil(n / k) for os / aipw
+        def plan(n):
+            cfg = EstimatorConfig(method=method, nuisance="parametric", k=k)
+            return small_plan(sample_sizes=(n, 500), estimators=(cfg,))
+
+        plan(n_ok).check_parametric_rows()
+        with pytest.raises(ValidationError, match="training rows"):
+            plan(n_ok - 1).check_parametric_rows()
+
+    def test_row_check_ignores_non_parametric_nuisances(self):
+        small_plan(sample_sizes=(10,)).check_parametric_rows()
+
 
 def _report_with(cells):
     return MonteCarloReport(

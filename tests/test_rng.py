@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskratio.rng import CounterRng, derive_seed
+from riskratio.rng import CounterRng, derive_seed, uniforms_at
 
 
 def test_uniforms_deterministic_and_in_range():
@@ -17,6 +17,15 @@ def test_stream_is_position_based():
     first, second = r.uniforms(5), r.uniforms(5)
     both = CounterRng(7).uniforms(10)
     assert np.array_equal(np.concatenate([first, second]), both)
+
+
+def test_uniforms_at_reads_any_streams_at_any_counters():
+    seeds = np.array([[7], [derive_seed(7, 3)]], dtype=np.uint64)
+    counters = np.array([0, 1, 5, 40], dtype=np.uint64)
+    got = uniforms_at(seeds, counters)
+    for row, seed in zip(got, seeds[:, 0]):
+        stream = CounterRng(int(seed)).uniforms(41)
+        assert np.array_equal(row, stream[counters.astype(int)])
 
 
 def test_normals_moments_and_determinism():
