@@ -78,47 +78,55 @@ class ArmFunctionals:
 
 @dataclass(frozen=True, eq=False)
 class CrossfitScores:
-    """Out-of-fold nuisance evaluations, one per observation."""
+    """Out-of-fold nuisance evaluations on ``d``, one per observation.
 
+    ``gamma1`` / ``gamma0`` are the per-row augmented scores, computed once
+    on construction; their means are the AIPW arm means, and the same
+    arrays feed :func:`arm_functionals` and ``inference.var_os``.
+    """
+
+    d: ObservationalDataset
     e: np.ndarray
     mu0: np.ndarray
     mu1: np.ndarray
     folds: FoldPartition
+    gamma1: np.ndarray = field(init=False)
+    gamma0: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        t = self.d.t.astype(float)
+        y = self.d.y
+        object.__setattr__(self, "gamma1", self.mu1 + t * (y - self.mu1) / self.e)
+        object.__setattr__(self, "gamma0", self.mu0 + (1.0 - t) * (y - self.mu0) / (1.0 - self.e))
 
 
 @dataclass(frozen=True, eq=False)
 class NuisanceRecipe:
     """Which learners fit the nuisances, on the full sample or per fold.
 
-    ``propensity`` is one of ``logistic``, ``forest``, ``fixed``;
-    ``outcome`` is one of ``ols``, ``forest``, ``fixed``.  Fixed models are
-    evaluated as-is (no refitting), which yields the oracle variants.
-    ``forest`` configures every forest learner; each fit derives its own
-    seed from ``forest.seed`` (see :func:`fit_propensity`).  ``clip`` bounds
-    fitted propensities.
+    ``propensity`` is a learner name (``logistic`` or ``forest``) or a fixed
+    :class:`PropensityModel`; ``outcome`` is a learner name (``ols`` or
+    ``forest``) or a fixed ``(mu0, mu1)`` pair.  Fixed models are evaluated
+    as-is (no refitting), which yields the oracle variants.  ``forest``
+    configures every forest learner; each fit derives its own seed from
+    ``forest.seed`` (see :func:`fit_propensity`).  ``clip`` bounds fitted
+    propensities.
     """
 
-    propensity: str = "logistic"
-    outcome: str = "ols"
+    propensity: str | PropensityModel = "logistic"
+    outcome: str | tuple[OutcomeModel, OutcomeModel] = "ols"
     clip: float = 0.01
     forest: ForestConfig = field(default_factory=ForestConfig)
-    fixed_propensity: PropensityModel | None = None
-    fixed_mu0: OutcomeModel | None = None
-    fixed_mu1: OutcomeModel | None = None
 
     def __post_init__(self):
-        if self.propensity not in ("logistic", "forest", "fixed"):
+        if isinstance(self.propensity, str) and self.propensity not in ("logistic", "forest"):
             raise ValidationError(f"unknown propensity learner {self.propensity!r}")
-        if self.outcome not in ("ols", "forest", "fixed"):
+        if isinstance(self.outcome, str) and self.outcome not in ("ols", "forest"):
             raise ValidationError(f"unknown outcome learner {self.outcome!r}")
-        if self.propensity == "fixed" and self.fixed_propensity is None:
-            raise ValidationError("fixed propensity learner needs fixed_propensity")
-        if self.outcome == "fixed" and (self.fixed_mu0 is None or self.fixed_mu1 is None):
-            raise ValidationError("fixed outcome learner needs fixed_mu0 and fixed_mu1")
 
     @property
     def needs_fitting(self) -> bool:
-        return self.propensity != "fixed" or self.outcome != "fixed"
+        return isinstance(self.propensity, str) or isinstance(self.outcome, str)
 
 
 def _ratio_point(num: float, den: float, method: str, notes=()) -> RRPoint:
@@ -184,8 +192,8 @@ def fit_propensity(
     A forest is seeded with ``derive_seed(recipe.forest.seed, *keys)``;
     cross-fitting passes the fold index as the key, a full-sample fit none.
     """
-    if recipe.propensity == "fixed":
-        return recipe.fixed_propensity
+    if not isinstance(recipe.propensity, str):
+        return recipe.propensity
     if recipe.propensity == "forest":
         cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys))
         return fit_forest_classifier(x, t, cfg, clip=recipe.clip)
@@ -200,8 +208,8 @@ def fit_outcomes(
     Each arm is fitted on its own rows; arm ``a``'s forest is seeded with
     ``derive_seed(recipe.forest.seed, *keys, a)``.
     """
-    if recipe.outcome == "fixed":
-        return recipe.fixed_mu0, recipe.fixed_mu1
+    if not isinstance(recipe.outcome, str):
+        return recipe.outcome
     models = []
     for arm in (0, 1):
         rows = t == arm
@@ -252,27 +260,16 @@ def crossfit_nuisances(
         e[held] = e_model.predict(x_held)
         mu0[held] = m0.predict(x_held)
         mu1[held] = m1.predict(x_held)
-    return CrossfitScores(e=e, mu0=mu0, mu1=mu1, folds=folds)
+    return CrossfitScores(d=d, e=e, mu0=mu0, mu1=mu1, folds=folds)
 
 
-def augmented_scores(
-    d: ObservationalDataset, scores: CrossfitScores
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row augmented scores ``(gamma_1, gamma_0)``; their means are the AIPW arm means."""
-    t = d.t.astype(float)
-    gamma1 = scores.mu1 + t * (d.y - scores.mu1) / scores.e
-    gamma0 = scores.mu0 + (1.0 - t) * (d.y - scores.mu0) / (1.0 - scores.e)
-    return gamma1, gamma0
-
-
-def arm_functionals(d: ObservationalDataset, scores: CrossfitScores) -> ArmFunctionals:
+def arm_functionals(scores: CrossfitScores) -> ArmFunctionals:
     """Plain and augmented cross-fitted arm means from out-of-fold scores."""
-    aug1, aug0 = augmented_scores(d, scores)
     return ArmFunctionals(
         tau_g_1=float(scores.mu1.mean()),
         tau_g_0=float(scores.mu0.mean()),
-        tau_aipw_1=float(aug1.mean()),
-        tau_aipw_0=float(aug0.mean()),
+        tau_aipw_1=float(scores.gamma1.mean()),
+        tau_aipw_0=float(scores.gamma0.mean()),
     )
 
 

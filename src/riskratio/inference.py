@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import ObservationalDataset
 from .errors import ValidationError
-from .estimators import CrossfitScores, RRPoint, _ratio_point, augmented_scores, rr_ht, rr_neyman
+from .estimators import CrossfitScores, RRPoint, _ratio_point, rr_ht, rr_neyman
 from .nuisance import OutcomeModel, PropensityModel
 
 FLAG_VARIANCE_CLAMPED = "variance-clamped-to-zero"
@@ -132,6 +132,24 @@ def var_ht(d: ObservationalDataset, e: float) -> float:
     return tau * tau * (m2_1 / (e * ybar1**2) + m2_0 / ((1.0 - e) * ybar0**2))
 
 
+def _ipw_moments(d: ObservationalDataset, e: np.ndarray):
+    """``(t, den1, den0, v)`` of the propensity-weighted ratio at propensities ``e``.
+
+    ``den1`` / ``den0`` are the weighted arm means, whose ratio is the point
+    estimate, and ``v`` is the :func:`var_ipw` variance.
+    """
+    _check_arms(d)
+    t = d.t.astype(float)
+    num1 = float(np.mean(t * (d.y / e) ** 2))
+    den1 = float(np.mean(t * d.y / e))
+    num0 = float(np.mean((1.0 - t) * (d.y / (1.0 - e)) ** 2))
+    den0 = float(np.mean((1.0 - t) * d.y / (1.0 - e)))
+    if den1 == 0.0 or den0 == 0.0:
+        raise ValidationError("variance undefined: a weighted arm mean is zero")
+    tau = den1 / den0  # the rr_ipw point estimate
+    return t, den1, den0, tau * tau * (num1 / den1**2 + num0 / den0**2)
+
+
 def var_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> float:
     """Variance of the propensity-weighted ratio.
 
@@ -141,17 +159,7 @@ def var_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> float:
     estimate.  With a constant propensity equal to the empirical treated
     share this reduces exactly to ``var_ht`` at that share.
     """
-    _check_arms(d)
-    e = e_hat.predict(d.x)
-    t = d.t.astype(float)
-    num1 = float(np.mean(t * (d.y / e) ** 2))
-    den1 = float(np.mean(t * d.y / e))
-    num0 = float(np.mean((1.0 - t) * (d.y / (1.0 - e)) ** 2))
-    den0 = float(np.mean((1.0 - t) * d.y / (1.0 - e)))
-    if den1 == 0.0 or den0 == 0.0:
-        raise ValidationError("variance undefined: a weighted arm mean is zero")
-    tau = den1 / den0  # the rr_ipw point estimate
-    return tau * tau * (num1 / den1**2 + num0 / den0**2)
+    return _ipw_moments(d, e_hat.predict(d.x))[3]
 
 
 def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> float:
@@ -164,14 +172,9 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
     """
     if e_hat.kind not in ("logistic", "constant"):
         raise ValidationError("adjustment applies to logistic-model propensities")
-    _check_arms(d)
     e = e_hat.predict(d.x)
-    t = d.t.astype(float)
+    t, den1, den0, v_ipw = _ipw_moments(d, e)
     xt = np.column_stack([np.ones(d.n), d.x])
-    den1 = float(np.mean(t * d.y / e))
-    den0 = float(np.mean((1.0 - t) * d.y / (1.0 - e)))
-    if den1 == 0.0 or den0 == 0.0:
-        raise ValidationError("variance undefined: a weighted arm mean is zero")
     w = e * (1.0 - e)
     q = (xt * w[:, None]).T @ xt / d.n
     c10 = xt.T @ ((1.0 - t) * d.y * e / (1.0 - e)) / d.n
@@ -179,7 +182,7 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
     v = c10 / den0 + c01 / den1
     tau = den1 / den0
     correction = tau * tau * float(v @ np.linalg.solve(q, v))
-    return var_ipw(d, e_hat) - correction
+    return v_ipw - correction
 
 
 def var_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> float:
@@ -191,18 +194,17 @@ def var_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> floa
     return tau * tau * float(np.mean((delta - delta.mean()) ** 2))
 
 
-def var_os(d: ObservationalDataset, scores: CrossfitScores, point: RRPoint) -> float:
+def var_os(scores: CrossfitScores, point: RRPoint) -> float:
     """Efficient variance from cross-fitted augmented scores.
 
     Shared by the one-step and augmented-ratio estimators (both have the
     same limit distribution); pass whichever point estimate is reported.
     """
-    gamma1, gamma0 = augmented_scores(d, scores)
-    s1 = float(gamma1.mean())
-    s0 = float(gamma0.mean())
+    s1 = float(scores.gamma1.mean())
+    s0 = float(scores.gamma0.mean())
     if s1 == 0.0 or s0 == 0.0:
         raise ValidationError("variance undefined: an augmented arm mean is zero")
-    delta = gamma1 / s1 - gamma0 / s0
+    delta = scores.gamma1 / s1 - scores.gamma0 / s0
     return point.value**2 * float(np.mean((delta - delta.mean()) ** 2))
 
 

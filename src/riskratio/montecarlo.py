@@ -76,12 +76,9 @@ class EstimatorConfig:
     e: float | None = None
     eta: float = 0.01
     n_trees: int = 100
-    label: str | None = None
 
     @property
     def name(self) -> str:
-        if self.label:
-            return self.label
         if self.method in ("neyman", "ht"):
             return self.method
         return f"{self.nuisance}_{self.method}"
@@ -127,7 +124,7 @@ class ExperimentPlan:
             raise ValidationError("plan needs at least one estimator")
         names = [c.name for c in self.estimators]
         if len(set(names)) != len(names):
-            raise ValidationError(f"estimator labels must be unique, got {names}")
+            raise ValidationError(f"estimator names must be unique, got {names}")
         for cfg in self.estimators:
             cfg.validate()
             if cfg.method in ("os", "aipw") and cfg.k > min(self.sample_sizes):
@@ -167,17 +164,6 @@ class ExperimentPlan:
 
 
 @dataclass(frozen=True)
-class RepOutcome:
-    estimate: float | None
-    v_hat: float | None
-    ci_lower: float | None
-    ci_upper: float | None
-    degenerate: bool
-    failed: bool
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class ReportCell:
     estimator: str
     n: int
@@ -205,14 +191,7 @@ class MonteCarloReport:
 def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
     """The learners ``cfg.nuisance`` names; forest seeds derive from ``seed``."""
     if cfg.nuisance == "oracle":
-        return NuisanceRecipe(
-            propensity="fixed",
-            outcome="fixed",
-            fixed_propensity=oracle[0],
-            fixed_mu0=oracle[1],
-            fixed_mu1=oracle[2],
-            clip=cfg.eta,
-        )
+        return NuisanceRecipe(propensity=oracle[0], outcome=oracle[1:], clip=cfg.eta)
     if cfg.nuisance == "forest":
         forest = ForestConfig(n_trees=cfg.n_trees, seed=derive_seed(seed, _FOREST_STREAM))
         return NuisanceRecipe(propensity="forest", outcome="forest", forest=forest, clip=cfg.eta)
@@ -243,13 +222,16 @@ def run_single(
     else:
         folds = make_folds(d.n, cfg.k, derive_seed(seed, _FOLD_STREAM))
         scores = crossfit_nuisances(d, folds, _recipe(cfg, seed, oracle))
-        af = arm_functionals(d, scores)
+        af = arm_functionals(scores)
         point = rr_os(af) if cfg.method == "os" else rr_aipw(af)
-        v = None if point.degenerate else var_os(d, scores, point)
+        v = None if point.degenerate else var_os(scores, point)
     return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style, dataset=d)
 
 
-def _one_replication(plan: ExperimentPlan, size_idx: int, rep_idx: int, oracle):
+def _one_replication(
+    plan: ExperimentPlan, size_idx: int, rep_idx: int, oracle
+) -> list[RREstimate | str]:
+    """Each estimator's estimate on one sample, or its ``"name: error"`` text."""
     spec = DGPSpec(
         kind=plan.dgp_kind,
         n=plan.sample_sizes[size_idx],
@@ -261,41 +243,21 @@ def _one_replication(plan: ExperimentPlan, size_idx: int, rep_idx: int, oracle):
     for cfg_idx, cfg in enumerate(plan.estimators):
         seed = derive_seed(plan.master_seed, size_idx, rep_idx, cfg_idx)
         try:
-            est = run_single(sample.dataset, cfg, seed, oracle)
-            out.append(
-                RepOutcome(
-                    estimate=est.point.value,
-                    v_hat=est.v_hat,
-                    ci_lower=est.ci_lower,
-                    ci_upper=est.ci_upper,
-                    degenerate=est.point.degenerate,
-                    failed=False,
-                )
-            )
+            out.append(run_single(sample.dataset, cfg, seed, oracle))
         except (ValidationError, EstimationError) as exc:
-            out.append(
-                RepOutcome(
-                    estimate=None,
-                    v_hat=None,
-                    ci_lower=None,
-                    ci_upper=None,
-                    degenerate=False,
-                    failed=True,
-                    error=f"{cfg.name}: {exc}",
-                )
-            )
+            out.append(f"{cfg.name}: {exc}")
     return out
 
 
 def _aggregate(plan, truth, n, outcomes_by_cfg) -> list[ReportCell]:
     cells = []
     for cfg, outcomes in zip(plan.estimators, outcomes_by_cfg):
-        ok = [o for o in outcomes if not o.failed]
+        ok = [o for o in outcomes if isinstance(o, RREstimate)]
         n_failed = len(outcomes) - len(ok)
-        n_degenerate = sum(o.degenerate for o in ok)
-        covered = [o for o in ok if not o.degenerate and o.ci_lower is not None]
+        n_degenerate = sum(o.point.degenerate for o in ok)
+        covered = [o for o in ok if not o.point.degenerate and o.ci_lower is not None]
         if ok:
-            est = np.array([o.estimate for o in ok])
+            est = np.array([o.point.value for o in ok])
             mean_est = float(est.mean())
             bias = mean_est - truth
             sd = float(np.sqrt(np.mean((est - mean_est) ** 2)))

@@ -29,13 +29,7 @@ LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0  # closed form of the mixture design
 
 def oracle_recipe(kind):
     e_model, mu0, mu1 = oracle_models(kind)
-    return NuisanceRecipe(
-        propensity="fixed",
-        outcome="fixed",
-        fixed_propensity=e_model,
-        fixed_mu0=mu0,
-        fixed_mu1=mu1,
-    )
+    return NuisanceRecipe(propensity=e_model, outcome=(mu0, mu1))
 
 
 class TestNeyman:
@@ -152,7 +146,7 @@ class TestCrossfit:
         sample = generate(DGPSpec(kind="lunceford", n=20_000, seed=23))
         folds = make_folds(20_000, 5, seed=1)
         scores = crossfit_nuisances(sample.dataset, folds, oracle_recipe("lunceford"))
-        af = arm_functionals(sample.dataset, scores)
+        af = arm_functionals(scores)
         assert af.tau_aipw_1 == pytest.approx(4.55, abs=0.15)
         assert af.tau_aipw_0 == pytest.approx(2.55, abs=0.15)
 
@@ -161,8 +155,8 @@ class TestCrossfit:
         recipe = NuisanceRecipe()
         scores2 = crossfit_nuisances(sample.dataset, make_folds(2000, 2, 5), recipe)
         scores5 = crossfit_nuisances(sample.dataset, make_folds(2000, 5, 5), recipe)
-        af2 = arm_functionals(sample.dataset, scores2)
-        af5 = arm_functionals(sample.dataset, scores5)
+        af2 = arm_functionals(scores2)
+        af5 = arm_functionals(scores5)
         v2, v5 = rr_aipw(af2).value, rr_aipw(af5).value
         assert np.isfinite(v2) and np.isfinite(v5)
         assert abs(v2 - v5) < 0.2
@@ -170,13 +164,10 @@ class TestCrossfit:
     def test_perfect_constant_nuisances_are_exact(self):
         d = dataset_from(t=[1, 0, 1, 0, 1, 0], y=np.ones(6))
         recipe = NuisanceRecipe(
-            propensity="fixed",
-            outcome="fixed",
-            fixed_propensity=constant_propensity(0.5),
-            fixed_mu0=constant_outcome(1.0),
-            fixed_mu1=constant_outcome(1.0),
+            propensity=constant_propensity(0.5),
+            outcome=(constant_outcome(1.0), constant_outcome(1.0)),
         )
-        af = arm_functionals(d, crossfit_nuisances(d, make_folds(6, 3, 0), recipe))
+        af = arm_functionals(crossfit_nuisances(d, make_folds(6, 3, 0), recipe))
         assert af.tau_aipw_1 == 1.0 and af.tau_aipw_0 == 1.0
         assert rr_aipw(af).value == 1.0
 
@@ -184,11 +175,7 @@ class TestCrossfit:
         # a single treated unit leaves one complement with no treated rows
         # for every possible partition, so the one reshuffle cannot help
         d = dataset_from(t=[1, 0, 0, 0, 0, 0], y=[1.0, 2.0, 1.5, 2.5, 2.0, 1.0])
-        recipe = NuisanceRecipe(
-            propensity="fixed",
-            outcome="ols",
-            fixed_propensity=constant_propensity(0.5),
-        )
+        recipe = NuisanceRecipe(propensity=constant_propensity(0.5), outcome="ols")
         with pytest.raises(EstimationError, match="empty"):
             crossfit_nuisances(d, make_folds(6, 3, seed=0), recipe)
 
@@ -199,11 +186,7 @@ class TestCrossfit:
             y=[2.0, 3.0, 1.0, 1.5, 2.0, 2.5, 1.2, 1.8],
             x=np.zeros((8, 0)),
         )
-        recipe = NuisanceRecipe(
-            propensity="fixed",
-            outcome="ols",
-            fixed_propensity=constant_propensity(0.5),
-        )
+        recipe = NuisanceRecipe(propensity=constant_propensity(0.5), outcome="ols")
         rescued = errored = 0
         for seed in range(60):
             folds = make_folds(8, 2, seed=seed)
@@ -222,14 +205,16 @@ class TestCrossfit:
 
     def test_bad_partition_without_seed_errors(self):
         d = dataset_from(t=[1, 0, 0, 0], y=[1.0, 2.0, 1.0, 2.0])
-        recipe = NuisanceRecipe(
-            propensity="fixed",
-            outcome="ols",
-            fixed_propensity=constant_propensity(0.5),
-        )
+        recipe = NuisanceRecipe(propensity=constant_propensity(0.5), outcome="ols")
         folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=None)
         with pytest.raises(EstimationError):
             crossfit_nuisances(d, folds, recipe)
+
+
+def test_recipe_rejects_unknown_learner_names():
+    for kwargs in (dict(propensity="fixed"), dict(outcome="fixed"), dict(propensity="ols")):
+        with pytest.raises(ValidationError, match="unknown"):
+            NuisanceRecipe(**kwargs)
 
 
 class TestOneStepAndAIPW:
@@ -266,7 +251,7 @@ class TestOneStepAndAIPW:
         sample = generate(DGPSpec(kind="lunceford", n=5_000, seed=25))
         folds = make_folds(5_000, 5, seed=2)
         scores = crossfit_nuisances(sample.dataset, folds, NuisanceRecipe())
-        af = arm_functionals(sample.dataset, scores)
+        af = arm_functionals(scores)
         assert rr_aipw(af).value == pytest.approx(LUNCEFORD_TRUE_RR, abs=0.1)
 
 
@@ -301,7 +286,7 @@ def test_point_estimates_deterministic():
     runs = []
     for _ in range(2):
         folds = make_folds(1_000, 5, seed=7)
-        af = arm_functionals(sample.dataset, crossfit_nuisances(sample.dataset, folds, recipe))
+        af = arm_functionals(crossfit_nuisances(sample.dataset, folds, recipe))
         runs.append((rr_aipw(af).value, rr_os(af).value))
     assert runs[0] == runs[1]
 
@@ -326,7 +311,7 @@ def test_oracle_estimates_tighten_with_sample_size():
                 sample = generate(DGPSpec(kind=kind, n=n, seed=31_000 + 7 * rep))
                 folds = make_folds(n, 2, seed=rep)
                 scores = crossfit_nuisances(sample.dataset, folds, recipe)
-                af = arm_functionals(sample.dataset, scores)
+                af = arm_functionals(scores)
                 errs.append(abs(rr_aipw(af).value - truth))
             errors[n] = float(np.median(errs))
         assert errors[5_000] < errors[500], (kind, errors)

@@ -10,16 +10,25 @@ predict bit for bit.  Forests in the ``mc_forest`` benchmark shape (100
 trees on a 250-row fold complement of ``wager_nl_nonlogistic``) and small
 forests under non-default growth settings pin both their JSON text and
 their predictions, so any change to tree growth, its random draws or the
-ensemble mean shows up here.
+ensemble mean shows up here.  The ``report_to_json`` text of one small
+Monte-Carlo plan, with a size where some estimators fail in every
+replication and one where all succeed, pins the replication accounting.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from riskratio.dgp import DGPSpec, generate, oracle_models
-from riskratio.montecarlo import EstimatorConfig, run_single
+from riskratio.montecarlo import (
+    EstimatorConfig,
+    ExperimentPlan,
+    report_to_json,
+    run_experiment,
+    run_single,
+)
 from riskratio.nuisance import (
     ForestConfig,
     constant_outcome,
@@ -190,3 +199,31 @@ def test_forest_json_and_predictions_are_bit_identical(wager, forests, name):
     json_sha, predict_sha = GOLDEN_FOREST[name]
     assert _sha256(model_to_json(model)) == json_sha
     assert _predict_digest(model.predict(wager.x)) == predict_sha
+
+
+# sha256 of the report_to_json text (indent=2, as report.json is written)
+GOLDEN_REPORT = "4d13ee54fce916c8373a2423efe8e1d6eecaf46db3c6f7214ff6b7b1724d7822"
+
+
+def test_monte_carlo_report_is_byte_identical():
+    # at n=12 OLS cannot fit (p+1 = 7 rows per arm), so parametric g and aipw
+    # fail in every replication and ipw in most; at n=200 everything succeeds
+    plan = ExperimentPlan(
+        dgp_kind="linear_rct",
+        sample_sizes=(12, 200),
+        reps=6,
+        estimators=(
+            EstimatorConfig(method="neyman"),
+            EstimatorConfig(method="ipw", nuisance="parametric"),
+            EstimatorConfig(method="g", nuisance="parametric"),
+            EstimatorConfig(method="aipw", nuisance="parametric", k=2),
+            EstimatorConfig(method="os", nuisance="oracle", k=2),
+        ),
+        master_seed=7,
+        truth_draws=10**5,
+    )
+    report = run_experiment(plan)
+    by_key = {(c.estimator, c.n): c for c in report.cells}
+    assert by_key[("parametric_g", 12)].n_failed == 6
+    assert all(c.n_failed == 0 for c in report.cells if c.n == 200)
+    assert _sha256(json.dumps(report_to_json(report), indent=2)) == GOLDEN_REPORT

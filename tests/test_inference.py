@@ -206,6 +206,7 @@ class TestVarOS:
         d = dataset_from(t=[1, 0, 1, 0], y=[2.0, 1.0, 4.0, 3.0], x=x)
         folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=0)
         scores = CrossfitScores(
+            d=d,
             e=np.array([0.5, 0.5, 0.25, 0.75]),
             mu0=np.array([1.0, 1.0, 2.0, 2.0]),
             mu1=np.array([2.0, 2.0, 3.0, 3.0]),
@@ -217,9 +218,9 @@ class TestVarOS:
         d = dataset_from(t=[1, 0, 1, 0], y=np.ones(4))
         folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=0)
         scores = CrossfitScores(
-            e=np.full(4, 0.5), mu0=np.ones(4), mu1=np.ones(4), folds=folds
+            d=d, e=np.full(4, 0.5), mu0=np.ones(4), mu1=np.ones(4), folds=folds
         )
-        assert var_os(d, scores, RRPoint(1.0, "aipw")) == 0.0
+        assert var_os(scores, RRPoint(1.0, "aipw")) == 0.0
 
     def test_four_row_hand_value(self):
         d, scores = self._toy_scores()
@@ -227,7 +228,7 @@ class TestVarOS:
         gamma0 = np.array([1.0, 1.0 + 0.0, 2.0, 2.0 + (3.0 - 2.0) / 0.25])
         delta = gamma1 / gamma1.mean() - gamma0 / gamma0.mean()
         expected = 1.4**2 * np.mean((delta - delta.mean()) ** 2)
-        got = var_os(d, scores, RRPoint(1.4, "aipw"))
+        got = var_os(scores, RRPoint(1.4, "aipw"))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_oracle_nuisances_match_population_variance(self):
@@ -243,12 +244,13 @@ class TestVarOS:
         d = sample.dataset
         folds = FoldPartition(k=2, assignment=np.tile([1, 2], 10_000), seed=0)
         scores = CrossfitScores(
+            d=d,
             e=e_model.predict(d.x),
             mu0=mu0.predict(d.x),
             mu1=mu1.predict(d.x),
             folds=folds,
         )
-        got = var_os(d, scores, rr_neyman(d))
+        got = var_os(scores, rr_neyman(d))
         assert got == pytest.approx(v_population, rel=0.2)
 
 
