@@ -2,8 +2,8 @@
 
 The interchange format is a UTF-8 CSV with a mandatory header row
 ``y,t,x1,...,xp`` and one observation per row: an outcome, a binary
-treatment indicator, and ``p`` numeric covariates.  Non-finite values are
-rejected, never imputed.
+treatment indicator, and ``p`` numeric covariates.  A leading byte-order
+mark is skipped.  Non-finite values are rejected, never imputed.
 """
 
 from __future__ import annotations
@@ -121,12 +121,58 @@ def _expected_header(p: int, schema: CsvSchema) -> list[str]:
     return [schema.y, schema.t] + [f"{schema.x_prefix}{j}" for j in range(1, p + 1)]
 
 
+def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
+    """Parse the rest of ``fh`` in one ``np.loadtxt`` call, or return None.
+
+    None means the row loop has to read the file: ``loadtxt`` failed, or its
+    result could differ from what the row loop would give.  ``loadtxt`` skips
+    blank lines, which the row loop rejects, and strips ``\\x1c``-``\\x1f``
+    around a number, which ``float()`` rejects, so lines holding either
+    stop the parse; the result must then have one row per line read, and
+    only finite values with every treatment in {0, 1}.
+    """
+    rows = 0
+
+    def lines():
+        nonlocal rows
+        for line in fh:
+            if (
+                line.isspace()
+                or "\x1c" in line
+                or "\x1d" in line
+                or "\x1e" in line
+                or "\x1f" in line
+            ):
+                raise ValueError("line the row loop must read")
+            rows += 1
+            yield line
+        if rows == 0:
+            raise ValueError("no data rows")  # loadtxt would warn
+
+    try:
+        data = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if (
+        data.shape != (rows, width)
+        or not np.isfinite(data).all()
+        or not np.isin(data[:, 1], (0.0, 1.0)).all()
+    ):
+        return None
+    return data
+
+
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
     """Read a dataset from ``path``; errors name the offending row and column.
 
-    Rows are numbered from 1, counting data rows only (the header is row 0).
+    After the header is checked, all data rows are parsed at once with
+    ``np.loadtxt``.  A file that this vectorised parse cannot read exactly
+    as the row loop would, including every malformed file, is read again by
+    the row loop, which is the one source of error messages.  Rows are
+    numbered from 1, counting data rows only (the header is row 0).  A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,6 +189,11 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
                 f"{path}: covariate columns must be named "
                 f"{schema.x_prefix}1..{schema.x_prefix}{p} in order, got {header[2:]}"
             )
+        data = _loadtxt_rows(fh, len(header))
+        if data is not None:
+            return ObservationalDataset(x=data[:, 2:], t=data[:, 1], y=data[:, 0])
+        fh.seek(0)
+        next(reader)  # the header, checked above
         y_rows: list[float] = []
         t_rows: list[int] = []
         x_rows: list[list[float]] = []
@@ -182,7 +233,7 @@ def write_csv(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) ->
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(d.p, schema))
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(d.y[i])), int(d.t[i])] + [repr(float(v)) for v in d.x[i]]
-            )
+        writer.writerows(
+            [repr(y), t, *map(repr, x)]
+            for y, t, x in zip(d.y.tolist(), d.t.tolist(), d.x.tolist())
+        )

@@ -57,12 +57,11 @@ _SEPARATION_NORM = 1e4
 def expit(s: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    # exp(-|s|) never overflows; each side of the where gets the arithmetic
+    # of the textbook branch for its sign
+    e = np.exp(-np.abs(s))
+    d = 1.0 + e
+    return np.where(s >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +231,13 @@ def fit_logistic_mle(
             s_cand = xt @ cand
             nll_cand = _neg_log_likelihood(s_cand, t, cand, ridge)
             if nll_cand <= nll:
+                beta, s, nll = cand, s_cand, nll_cand
                 break
             lam *= 0.5
-        beta = beta + lam * step
-        s = xt @ beta
-        nll = _neg_log_likelihood(s, t, beta, ridge)
+        else:  # all 40 halvings failed: step by lam = 2**-40 and evaluate there
+            beta = beta + lam * step
+            s = xt @ beta
+            nll = _neg_log_likelihood(s, t, beta, ridge)
         if np.max(np.abs(beta)) > _SEPARATION_NORM:
             raise SeparationError(
                 f"diverging coefficients (max |beta| = {np.max(np.abs(beta)):.3e}); "

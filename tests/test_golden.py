@@ -13,6 +13,8 @@ their predictions, so any change to tree growth, its random draws or the
 ensemble mean shows up here.  The ``report_to_json`` text of one small
 Monte-Carlo plan, with a size where some estimators fail in every
 replication and one where all succeed, pins the replication accounting.
+The bytes ``write_csv`` writes for two fixed samples are pinned by their
+sha256.
 """
 
 import hashlib
@@ -21,6 +23,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import random_dataset
+from riskratio.data import write_csv
 from riskratio.dgp import DGPSpec, generate, oracle_models
 from riskratio.montecarlo import (
     EstimatorConfig,
@@ -227,3 +231,18 @@ def test_monte_carlo_report_is_byte_identical():
     assert by_key[("parametric_g", 12)].n_failed == 6
     assert all(c.n_failed == 0 for c in report.cells if c.n == 200)
     assert _sha256(json.dumps(report_to_json(report), indent=2)) == GOLDEN_REPORT
+
+
+# sha256 of the write_csv bytes for two fixed helpers.random_dataset samples
+GOLDEN_CSV = {
+    (7, 300, 3, False): "a7169b852080a80cad7f7a1e74af59625cf3db89874776a609053e98e76f357b",
+    (8, 50, 1, True): "574a0321f899fd14614f66a38eea3ef6b8bb1717c5302ef1bbf97ea9ecd7a274",
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_CSV)
+def test_write_csv_is_byte_identical(tmp_path, case):
+    seed, n, p, binary = case
+    path = tmp_path / "d.csv"
+    write_csv(random_dataset(seed, n=n, p=p, binary=binary), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[case]

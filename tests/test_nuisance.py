@@ -1,7 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+import logistic_oracle
+from logistic_oracle import fit_logistic_oracle
 
 from riskratio import (
     ConvergenceError,
@@ -14,6 +21,7 @@ from riskratio import (
     model_from_json,
     model_to_json,
 )
+from riskratio import nuisance
 from riskratio.dgp import DGPSpec, generate
 from riskratio.nuisance import Linear, Logistic, OutcomeModel, PropensityModel, expit
 
@@ -161,3 +169,137 @@ def test_model_json_round_trip():
         back = model_from_json(model_to_json(model))
         assert np.allclose(back.predict(x), model.predict(x))
         assert json.loads(model_to_json(model))["model"] == model.kind
+
+
+_EDGE_LOGITS = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.5, 710.5,
+                -710.5, 1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=0, max_dims=2, max_side=20),
+        elements=st.one_of(st.floats(), st.sampled_from(_EDGE_LOGITS)),
+    )
+)
+def test_expit_matches_masked_oracle(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(s)
+    want = logistic_oracle.expit(s)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
+
+def _fit_counted(monkeypatch, module, fit, x, t, **kw):
+    """Run ``fit``, counting its likelihood evaluations and Newton steps."""
+    counts = {"nll": 0, "steps": 0}
+    nll = module._neg_log_likelihood
+    solve = np.linalg.solve
+
+    def counting_nll(*args):
+        counts["nll"] += 1
+        return nll(*args)
+
+    def counting_solve(*args):
+        counts["steps"] += 1
+        return solve(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_neg_log_likelihood", counting_nll)
+        m.setattr(np.linalg, "solve", counting_solve)
+        try:
+            return fit(x, t, **kw), counts
+        except (ConvergenceError, SeparationError) as exc:
+            return (type(exc), str(exc)), counts
+
+
+def _lunceford(n, seed=4):
+    d = generate(DGPSpec(kind="lunceford", n=n, seed=seed)).dataset
+    return d.x, d.t
+
+
+def _outlier_sample(seed, n=30):
+    # one high-leverage point against the trend makes Newton overshoot
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(n, 1))
+    t = (x[:, 0] + g.normal(size=n) > 0).astype(float)
+    x[0, 0], t[0] = 30.0, 0.0
+    return x, t
+
+
+def _separated():
+    x = np.random.default_rng(1).normal(size=(200, 1))
+    return x, (x[:, 0] > 0).astype(float)
+
+
+# name -> (sample, fit options, step-halvings the fit makes)
+_FITS = {
+    "lunceford": (lambda: _lunceford(400), {}, 0),
+    "lunceford ridge": (lambda: _lunceford(400), {"ridge": 0.5}, 0),
+    "one halving": (lambda: _outlier_sample(83), {}, 1),
+    "26 halvings": (lambda: _outlier_sample(195), {}, 26),
+    "ridge, 39 halvings": (lambda: _outlier_sample(3), {"ridge": 0.1}, 39),
+    "separated": (_separated, {}, 0),
+    "separated ridge": (_separated, {"ridge": 1.0}, 0),
+    "max_iter 2": (lambda: _lunceford(400), {"max_iter": 2}, 0),
+}
+
+
+@pytest.mark.parametrize("name", _FITS)
+def test_logistic_fit_matches_newton_oracle(monkeypatch, name):
+    sample, options, halvings = _FITS[name]
+    x, t = sample()
+    got, new = _fit_counted(monkeypatch, nuisance, fit_logistic_mle, x, t, **options)
+    want, old = _fit_counted(
+        monkeypatch, logistic_oracle, fit_logistic_oracle, x, t, **options
+    )
+    if isinstance(want, tuple):  # the same error, with the same message
+        assert got == want
+    else:
+        assert got.surface.intercept.hex() == want.surface.intercept.hex()
+        assert [c.hex() for c in got.surface.coef.tolist()] == [
+            c.hex() for c in want.surface.coef.tolist()
+        ]
+    steps = old["steps"]
+    assert new["steps"] == steps
+    # the oracle evaluated one likelihood more per step: the accepted candidate again
+    assert old["nll"] == 1 + 2 * steps + halvings
+    assert new["nll"] == 1 + steps + halvings
+
+
+def test_exhausted_line_search_matches_newton_oracle(monkeypatch):
+    # block every likelihood away from zero until one within 2**-40 of a Newton
+    # step from zero is seen: all 40 candidates of the first step fail, and the
+    # fit must take the 2**-40 step and re-evaluate there, as the oracle did
+    x, t = _lunceford(300)
+    n = len(t)
+    xt = np.column_stack([np.ones(n), x])
+    step = np.linalg.solve(xt.T @ xt * 0.25 / n, xt.T @ (t - 0.5) / n)
+    floor = np.max(np.abs(step)) * 2.0**-39.5
+
+    def fit_blocked(module, fit):
+        nll = module._neg_log_likelihood
+        blocked = [True]
+
+        def blocking(s, t, beta, ridge):
+            size = np.max(np.abs(beta))
+            if blocked[0] and size > 0.0:
+                if size > floor:
+                    return np.inf
+                blocked[0] = False
+            return nll(s, t, beta, ridge)
+
+        with monkeypatch.context() as m:
+            m.setattr(module, "_neg_log_likelihood", blocking)
+            model = fit(x, t)
+        assert not blocked[0]
+        return model
+
+    got = fit_blocked(nuisance, fit_logistic_mle)
+    want = fit_blocked(logistic_oracle, fit_logistic_oracle)
+    assert got.surface.intercept.hex() == want.surface.intercept.hex()
+    assert [c.hex() for c in got.surface.coef.tolist()] == [
+        c.hex() for c in want.surface.coef.tolist()
+    ]
