@@ -29,11 +29,12 @@ from .data import load_csv
 from .dgp import KINDS, DGPSpec, export_sample, generate, true_rr
 from .errors import EstimationError, ValidationError
 from .montecarlo import (
-    _METHODS,
+    METHODS,
     EstimatorConfig,
     ExperimentPlan,
     run_experiment,
     run_single,
+    validate_estimators,
     write_report_csv,
     write_report_json,
 )
@@ -52,6 +53,8 @@ def _to_str_list(s):
     return tuple(v for v in str(s).split(",") if v != "")
 
 
+_SPECS_HELP = f"comma list of method[:nuisance[:k]] or nuisance_method; methods {'|'.join(METHODS)}"
+
 # per-subcommand option tables: key -> (default, converter, help)
 _COMMON = {
     "config": (None, str, "key=value config file; explicit flags override it"),
@@ -62,11 +65,7 @@ _OPTIONS = {
         **_COMMON,
         "input": (None, str, "input CSV with header y,t,x1..xp (required)"),
         "out": (None, str, "output directory (required)"),
-        "estimators": (
-            ("aipw",),
-            _to_str_list,
-            f"comma list of method[:nuisance[:k]] specs, methods from {_METHODS}",
-        ),
+        "estimators": (("aipw",), _to_str_list, _SPECS_HELP),
         "nuisance": ("parametric", str, "default nuisance learners: parametric|forest"),
         "k": (5, int, "cross-fitting folds for os/aipw"),
         "alpha": (0.05, float, "interval miscoverage level"),
@@ -91,11 +90,7 @@ _OPTIONS = {
         "reps": (300, int, "replications per sample size"),
         "sigma": (1.0, float, "outcome noise standard deviation"),
         "master_seed": (0, int, "master seed; replication seeds derive from it"),
-        "estimators": (
-            ("parametric_aipw",),
-            _to_str_list,
-            "comma list of method[:nuisance[:k]] or nuisance_method specs",
-        ),
+        "estimators": (("parametric_aipw",), _to_str_list, _SPECS_HELP),
         "alpha": (0.05, float, "interval miscoverage level"),
         "ci_style": ("wald", str, "wald|log_delta"),
         "eta": (0.01, float, "propensity clipping level"),
@@ -205,7 +200,7 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
     method = parts[0]
     nuisance = cfg.get("nuisance", "parametric")
     k = cfg.get("k", 5)
-    if method not in _METHODS and "_" in method and len(parts) == 1:
+    if method not in METHODS and "_" in method and len(parts) == 1:
         nuisance, _, method = method.partition("_")
     if len(parts) >= 2:
         nuisance = parts[1]
@@ -214,7 +209,7 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
             k = int(parts[2])
         except ValueError:
             raise ValidationError(f"estimator {spec!r}: k must be an integer") from None
-    if method not in _METHODS:
+    if method not in METHODS:
         raise ValidationError(f"unknown estimator {spec!r}")
     return EstimatorConfig(
         method=method,
@@ -235,6 +230,7 @@ def cmd_estimate(cfg: dict) -> int:
     if cfg["nuisance"] not in ("parametric", "forest"):
         raise ValidationError("--nuisance must be parametric or forest")
     configs = [_parse_estimator_spec(spec, cfg) for spec in cfg["estimators"]]
+    validate_estimators(configs)
     rows = []
     for idx, est_cfg in enumerate(configs):
         try:

@@ -6,6 +6,11 @@ replication materialises every estimator's point estimate, variance, and
 interval before any aggregation, so serial and parallel runs reduce to
 identical reports and replications can be re-aggregated after the fact.
 
+:data:`METHODS` maps each method to its stages ``(fit, point, variance)``;
+:func:`run_single` runs them, then the interval, for every method.  The
+stages look the estimators up in this module's globals when called, so
+rebinding one here (as a per-layer tracer does) reaches every call.
+
 Failure policy: a replication where one estimator fails (separation, a
 rank-deficient fold, ...) is dropped for that estimator only and counted
 in ``n_failed``.  Degenerate results (zero-denominator fallback) keep
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -51,11 +57,40 @@ from .inference import (
 from .rng import derive_seed
 from .trees import ForestConfig
 
-_METHODS = ("neyman", "ht", "ipw", "g", "os", "aipw")
 _NUISANCES = ("parametric", "forest", "oracle")
 _TRUTH_STREAM = 0x7271
 _FOLD_STREAM = 0xF0
 _FOREST_STREAM = 0xFE
+
+
+def _crossfit(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, recipe):
+    folds = make_folds(d.n, cfg.k, derive_seed(seed, _FOLD_STREAM))
+    return crossfit_nuisances(d, folds, recipe)
+
+
+# fit(d, cfg, seed, recipe), point(d, cfg, nuisances), variance(d, cfg, nuisances, point)
+_Stages = namedtuple("_Stages", "fit point variance")
+
+METHODS = {
+    "neyman": _Stages(None, lambda d, c, e: rr_neyman(d), lambda d, c, e, p: var_neyman(d)),
+    "ht": _Stages(None, lambda d, c, e: rr_ht(d, c.e), lambda d, c, e, p: var_ht(d, c.e)),
+    "ipw": _Stages(
+        lambda d, c, s, r: fit_propensity(d.x, d.t, r),
+        lambda d, c, e: rr_ipw(d, e),
+        lambda d, c, e, p: var_ipw(d, e),
+    ),
+    "g": _Stages(
+        lambda d, c, s, r: fit_outcomes(d.x, d.t, d.y, r),
+        lambda d, c, e: rr_g(d, *e),
+        lambda d, c, e, p: var_g(d, *e),
+    ),
+    "os": _Stages(
+        _crossfit, lambda d, c, e: rr_os(arm_functionals(e)), lambda d, c, e, p: var_os(e, p)
+    ),
+    "aipw": _Stages(
+        _crossfit, lambda d, c, e: rr_aipw(arm_functionals(e)), lambda d, c, e, p: var_os(e, p)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -79,18 +114,18 @@ class EstimatorConfig:
 
     @property
     def name(self) -> str:
-        if self.method in ("neyman", "ht"):
+        if self.method in METHODS and METHODS[self.method].fit is None:
             return self.method
         return f"{self.nuisance}_{self.method}"
 
     def validate(self) -> None:
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.method not in ("neyman", "ht") and self.nuisance not in _NUISANCES:
+        if self.nuisance not in _NUISANCES:
             raise ValidationError(f"unknown nuisance recipe {self.nuisance!r}")
         if self.method == "ht" and (self.e is None or not 0.0 < self.e < 1.0):
             raise ValidationError("ht needs a known assignment probability e in (0, 1)")
-        if self.method in ("os", "aipw") and self.k < 2:
+        if METHODS[self.method].fit is _crossfit and self.k < 2:
             raise ValidationError("cross-fitted methods need k >= 2")
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
@@ -100,6 +135,14 @@ class EstimatorConfig:
             raise ValidationError("alpha must lie in (0, 1)")
         if not 0.0 < self.eta <= 0.5:
             raise ValidationError("eta must lie in (0, 1/2]")
+
+
+def validate_estimators(configs) -> None:
+    for cfg in configs:
+        cfg.validate()
+    names = [c.name for c in configs]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"estimator names must be unique, got {names}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +165,9 @@ class ExperimentPlan:
             raise ValidationError("sample sizes must all be >= 10")
         if not self.estimators:
             raise ValidationError("plan needs at least one estimator")
-        names = [c.name for c in self.estimators]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"estimator names must be unique, got {names}")
+        validate_estimators(self.estimators)
         for cfg in self.estimators:
-            cfg.validate()
-            if cfg.method in ("os", "aipw") and cfg.k > min(self.sample_sizes):
+            if METHODS[cfg.method].fit is _crossfit and cfg.k > min(self.sample_sizes):
                 raise ValidationError(
                     f"{cfg.name}: k={cfg.k} folds exceed the smallest sample size "
                     f"{min(self.sample_sizes)}"
@@ -153,9 +193,9 @@ class ExperimentPlan:
         need = 2 * (N_COVARIATES + 1)
         n = min(self.sample_sizes)
         for cfg in self.estimators:
-            if cfg.nuisance != "parametric" or cfg.method in ("neyman", "ht"):
+            if cfg.nuisance != "parametric" or METHODS[cfg.method].fit is None:
                 continue
-            rows = n - (n + cfg.k - 1) // cfg.k if cfg.method in ("os", "aipw") else n
+            rows = n - (n + cfg.k - 1) // cfg.k if METHODS[cfg.method].fit is _crossfit else n
             if rows < need:
                 raise ValidationError(
                     f"{cfg.name}: parametric nuisances need {need} training rows "
@@ -191,6 +231,8 @@ class MonteCarloReport:
 def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
     """The learners ``cfg.nuisance`` names; forest seeds derive from ``seed``."""
     if cfg.nuisance == "oracle":
+        if oracle is None:
+            raise ValidationError("oracle nuisances are only available for generated samples")
         return NuisanceRecipe(propensity=oracle[0], outcome=oracle[1:], clip=cfg.eta)
     if cfg.nuisance == "forest":
         forest = ForestConfig(n_trees=cfg.n_trees, seed=derive_seed(seed, _FOREST_STREAM))
@@ -198,33 +240,13 @@ def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
     return NuisanceRecipe(clip=cfg.eta)
 
 
-def run_single(
-    d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle=None
-) -> RREstimate:
-    """Evaluate one estimator configuration on one dataset."""
+def run_single(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle=None) -> RREstimate:
+    """Evaluate one estimator configuration on one dataset, stage by stage."""
     cfg.validate()
-    if cfg.nuisance == "oracle" and cfg.method not in ("neyman", "ht") and oracle is None:
-        raise ValidationError("oracle nuisances are only available for generated samples")
-    if cfg.method == "neyman":
-        point = rr_neyman(d)
-        v = None if point.degenerate else var_neyman(d)
-    elif cfg.method == "ht":
-        point = rr_ht(d, cfg.e)
-        v = None if point.degenerate else var_ht(d, cfg.e)
-    elif cfg.method == "ipw":
-        model = fit_propensity(d.x, d.t, _recipe(cfg, seed, oracle))
-        point = rr_ipw(d, model)
-        v = None if point.degenerate else var_ipw(d, model)
-    elif cfg.method == "g":
-        mu0, mu1 = fit_outcomes(d.x, d.t, d.y, _recipe(cfg, seed, oracle))
-        point = rr_g(d, mu0, mu1)
-        v = None if point.degenerate else var_g(d, mu0, mu1)
-    else:
-        folds = make_folds(d.n, cfg.k, derive_seed(seed, _FOLD_STREAM))
-        scores = crossfit_nuisances(d, folds, _recipe(cfg, seed, oracle))
-        af = arm_functionals(scores)
-        point = rr_os(af) if cfg.method == "os" else rr_aipw(af)
-        v = None if point.degenerate else var_os(scores, point)
+    fit, point_of, variance_of = METHODS[cfg.method]
+    nuisances = None if fit is None else fit(d, cfg, seed, _recipe(cfg, seed, oracle))
+    point = point_of(d, cfg, nuisances)
+    v = None if point.degenerate else variance_of(d, cfg, nuisances, point)
     return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style, dataset=d)
 
 
@@ -295,10 +317,7 @@ def run_experiment(plan: ExperimentPlan) -> MonteCarloReport:
     truth = true_rr(
         plan.dgp_kind, plan.truth_draws, seed=derive_seed(plan.master_seed, _TRUTH_STREAM)
     )
-    needs_oracle = any(
-        c.nuisance == "oracle" and c.method not in ("neyman", "ht") for c in plan.estimators
-    )
-    oracle = oracle_models(plan.dgp_kind) if needs_oracle else None
+    oracle = oracle_models(plan.dgp_kind)
     tasks = [(si, ri) for si in range(len(plan.sample_sizes)) for ri in range(plan.reps)]
     if plan.workers > 1:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:

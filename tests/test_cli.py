@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from riskratio import cli
 from riskratio.cli import main
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0
@@ -244,3 +245,33 @@ class TestEstimateSpecs:
         assert set(_read_report(out)) == {
             "parametric_ipw", "parametric_g", "parametric_aipw", "parametric_os"
         }
+
+    def test_duplicate_names_exit_two_without_report(self, tmp_path, capsys):
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(out),
+             "--estimators", "aipw:parametric:2,aipw:parametric:5"]
+        )
+        assert code == 2
+        assert "unique" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_unknown_nuisance_of_design_based_method_exits_two(self, tmp_path):
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(out),
+             "--estimators", "neyman:bogus"]
+        )
+        assert code == 2
+        assert not (out / "report.csv").exists()
+
+    def test_every_spec_is_validated_before_any_estimator_runs(self, tmp_path, monkeypatch):
+        def run_single(*args, **kwargs):
+            raise AssertionError("an estimator ran before every spec was validated")
+
+        monkeypatch.setattr(cli, "run_single", run_single)
+        code = main(
+            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(tmp_path / "o"),
+             "--estimators", "neyman,ht"]
+        )
+        assert code == 2

@@ -1,10 +1,11 @@
 """Golden pins of ``run_single`` and of model serialisation.
 
 Point estimates and variances for ``ipw``, ``g``, ``os`` and ``aipw`` under
-parametric, forest and oracle nuisances on one fixed sample, stored as
-``float.hex`` strings and compared for exact equality.  Any change to the
-nuisance-fitting path, the forest seeds or the variance formulas that moves
-a single bit shows up here.  The ``model_to_json`` text of one model of each
+parametric, forest and oracle nuisances, and for the design-based ``neyman``
+and ``ht``, on one fixed sample, stored as ``float.hex`` strings and
+compared for exact equality.  Any change to the nuisance-fitting path, the
+forest seeds or the variance formulas that moves a single bit shows up
+here.  The ``model_to_json`` text of one model of each
 serialisable kind is pinned by its sha256, and a JSON round trip must
 predict bit for bit.  Forests in the ``mc_forest`` benchmark shape (100
 trees on a 250-row fold complement of ``wager_nl_nonlogistic``) and small
@@ -48,8 +49,11 @@ from riskratio.nuisance import (
 SEED = 2024
 
 # (method, nuisance) -> (point.value.hex(), v_hat.hex()) on lunceford n=400,
-# sample seed 11, k=2 folds, 4-tree forests, estimator seed 2024
+# sample seed 11, k=2 folds, 4-tree forests, estimator seed 2024; the
+# design-based neyman and ht fit no nuisances, and ht uses e = 0.5
 GOLDEN = {
+    ("neyman", "parametric"): ("-0x1.16610ac86595ep+4", "0x1.c9bb96818d9f2p+16"),
+    ("ht", "parametric"): ("-0x1.9d3ef690d6675p+4", "0x1.9b6e07375766bp+17"),
     ("ipw", "parametric"): ("0x1.1903387b77d4fp+1", "0x1.302c748c430c9p+7"),
     ("g", "parametric"): ("0x1.bba2d4aa1ec84p+0", "0x1.e5cc0524ca86dp+8"),
     ("os", "parametric"): ("0x1.bbcf8dfde1312p+0", "0x1.45cddf0b71df9p+2"),
@@ -72,7 +76,7 @@ def sample():
 
 @pytest.mark.parametrize("method, nuisance", sorted(GOLDEN))
 def test_run_single_is_bit_identical(sample, method, nuisance):
-    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, n_trees=4)
+    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, e=0.5, n_trees=4)
     est = run_single(sample, cfg, SEED, oracle_models("lunceford"))
     point_hex, v_hex = GOLDEN[(method, nuisance)]
     assert est.point.value == float.fromhex(point_hex)

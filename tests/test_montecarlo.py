@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from riskratio import (
     write_report_csv,
     write_report_json,
 )
+from riskratio import montecarlo
+from riskratio.dgp import DGPSpec, generate
 from riskratio.montecarlo import MonteCarloReport, ReportCell
 
 
@@ -50,6 +53,43 @@ class TestRunSingle:
         d = random_dataset(2, n=60)
         with pytest.raises(ValidationError):
             run_single(d, EstimatorConfig(method="ht"), seed=1)
+
+
+# the functions run_single calls through riskratio.montecarlo's globals, and
+# the ones each method must call exactly once; a per-layer tracer rebinds
+# exactly these attributes, so a call that bypasses them escapes its counts
+_TRACED = (
+    "rr_neyman", "rr_ht", "rr_ipw", "rr_g", "rr_os", "rr_aipw",
+    "var_neyman", "var_ht", "var_ipw", "var_g", "var_os",
+    "arm_functionals", "fit_propensity", "fit_outcomes", "crossfit_nuisances", "make_folds",
+)
+_CROSSFIT = {"make_folds", "crossfit_nuisances", "arm_functionals", "var_os"}
+_EXPECTED_CALLS = {
+    "neyman": {"rr_neyman", "var_neyman"},
+    "ht": {"rr_ht", "var_ht"},
+    "ipw": {"fit_propensity", "rr_ipw", "var_ipw"},
+    "g": {"fit_outcomes", "rr_g", "var_g"},
+    "os": _CROSSFIT | {"rr_os"},
+    "aipw": _CROSSFIT | {"rr_aipw"},
+}
+
+
+@pytest.mark.parametrize("method", sorted(_EXPECTED_CALLS))
+def test_run_single_calls_through_module_globals(monkeypatch, method):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in _TRACED:
+        monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+    d = generate(DGPSpec(kind="lunceford", n=200, seed=4)).dataset
+    run_single(d, EstimatorConfig(method=method, k=2, e=0.5), seed=1)
+    assert calls == Counter(_EXPECTED_CALLS[method])
 
 
 class TestRunExperiment:
@@ -119,6 +159,17 @@ class TestPlanValidation:
         plan = small_plan(estimators=(EstimatorConfig(method="neyman", ci_style="katz"),))
         with pytest.raises(ValidationError, match="binary"):
             plan.validate()
+
+    def test_unknown_method_is_validation_error(self):
+        plan = small_plan(estimators=(EstimatorConfig(method="bogus"),))
+        with pytest.raises(ValidationError, match="unknown method"):
+            plan.validate()
+
+    def test_unknown_nuisance_rejected_for_every_method(self):
+        for method in montecarlo.METHODS:
+            cfg = EstimatorConfig(method=method, nuisance="bogus", e=0.5)
+            with pytest.raises(ValidationError, match="nuisance"):
+                cfg.validate()
 
     def test_ht_needs_probability(self):
         plan = small_plan(estimators=(EstimatorConfig(method="ht"),))
