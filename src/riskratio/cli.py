@@ -28,6 +28,7 @@ from dataclasses import asdict
 from .data import load_csv
 from .dgp import KINDS, DGPSpec, export_sample, generate, true_rr
 from .errors import EstimationError, ValidationError
+from .inference import INTERVALS
 from .montecarlo import (
     METHODS,
     EstimatorConfig,
@@ -54,6 +55,7 @@ def _to_str_list(s):
 
 
 _SPECS_HELP = f"comma list of method[:nuisance[:k]] or nuisance_method; methods {'|'.join(METHODS)}"
+_STYLES_HELP = f"interval style: {'|'.join(INTERVALS)}"
 
 # per-subcommand option tables: key -> (default, converter, help)
 _COMMON = {
@@ -69,7 +71,7 @@ _OPTIONS = {
         "nuisance": ("parametric", str, "default nuisance learners: parametric|forest"),
         "k": (5, int, "cross-fitting folds for os/aipw"),
         "alpha": (0.05, float, "interval miscoverage level"),
-        "ci_style": ("wald", str, "wald|log_delta|katz"),
+        "ci_style": ("wald", str, _STYLES_HELP),
         "eta": (0.01, float, "propensity clipping level"),
         "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
         "n_trees": (100, int, "trees per forest nuisance"),
@@ -92,7 +94,7 @@ _OPTIONS = {
         "master_seed": (0, int, "master seed; replication seeds derive from it"),
         "estimators": (("parametric_aipw",), _to_str_list, _SPECS_HELP),
         "alpha": (0.05, float, "interval miscoverage level"),
-        "ci_style": ("wald", str, "wald|log_delta"),
+        "ci_style": ("wald", str, _STYLES_HELP),
         "eta": (0.01, float, "propensity clipping level"),
         "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
         "n_trees": (100, int, "trees per forest nuisance"),
@@ -225,12 +227,10 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
 
 def cmd_estimate(cfg: dict) -> int:
     dataset = load_csv(cfg["input"])
-    if cfg["ci_style"] == "katz" and not dataset.binary_outcome:
-        raise ValidationError("--ci-style katz requires a binary outcome column")
-    if cfg["nuisance"] not in ("parametric", "forest"):
-        raise ValidationError("--nuisance must be parametric or forest")
     configs = [_parse_estimator_spec(spec, cfg) for spec in cfg["estimators"]]
     validate_estimators(configs)
+    if any(c.nuisance == "oracle" for c in configs):
+        raise ValidationError("oracle nuisances are only available for generated samples")
     rows = []
     for idx, est_cfg in enumerate(configs):
         try:

@@ -12,11 +12,13 @@ one convention under which the exact finite-sample identities hold:
   ``tau^2 (1/sum(ty) - 1/N1 + 1/sum((1-t)y) - 1/N0)``, which makes the
   log-delta interval coincide with the event-count (Katz-style) interval.
 
-Three interval constructions are provided: symmetric normal (``wald``),
-normal on the log scale (``log_delta``), and the event-count interval for
-binary outcomes (``katz``).  The standard-normal quantile uses Acklam's
-rational approximation refined by one Halley step (coefficients below),
-accurate to well under 1e-9.
+:data:`INTERVALS` holds the two interval styles, symmetric normal
+(``wald``) and normal on the log scale (``log_delta``).  :func:`katz_ci`
+is the crude ratio's event-count interval on binary outcomes; by the
+identity above it is the ``log_delta`` interval of ``neyman``, so it is a
+check, not a style.  The standard-normal quantile uses Acklam's rational
+approximation refined by one Halley step (coefficients below), accurate
+to well under 1e-9.
 """
 
 from __future__ import annotations
@@ -228,6 +230,17 @@ def log_delta_ci(point: float, v_hat: float, n: int, alpha: float = 0.05) -> tup
     return point * math.exp(-half), point * math.exp(half)
 
 
+# style -> (point, v_hat, n, alpha) -> (lower, upper)
+INTERVALS = {"wald": wald_ci, "log_delta": log_delta_ci}
+
+
+def check_ci_style(ci_style: str) -> None:
+    if ci_style not in INTERVALS:
+        raise ValidationError(
+            f"unknown interval style {ci_style!r}; expected one of {'|'.join(INTERVALS)}"
+        )
+
+
 def katz_ci(d: ObservationalDataset, alpha: float = 0.05) -> tuple[float, float]:
     """Event-count interval for binary outcomes.
 
@@ -278,34 +291,21 @@ def _optimal_e(num1: float, mean1: float, num0: float, mean0: float) -> float:
 
 
 def attach_interval(
-    point: RRPoint,
-    v_hat: float | None,
-    n: int,
-    alpha: float = 0.05,
-    ci_style: str = "wald",
-    dataset: ObservationalDataset | None = None,
+    point: RRPoint, v_hat: float | None, n: int, alpha: float = 0.05, ci_style: str = "wald"
 ) -> RREstimate:
-    """Bundle a point estimate with its variance and interval.
+    """Bundle a point estimate with its variance and its ``INTERVALS[ci_style]`` interval.
 
     Degenerate points get no variance or interval.  A (numerically) tiny
     negative variance is clamped to zero and flagged.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    if ci_style not in ("wald", "log_delta", "katz"):
-        raise ValidationError(f"unknown interval style {ci_style!r}")
+    check_ci_style(ci_style)
     if point.degenerate:
         return RREstimate(point, None, None, None, alpha, ci_style, n)
     flags: tuple[str, ...] = ()
     if v_hat is not None and v_hat < 0.0:
         v_hat = 0.0
         flags = (FLAG_VARIANCE_CLAMPED,)
-    if ci_style == "katz":
-        if dataset is None:
-            raise ValidationError("event-count interval needs the dataset")
-        lower, upper = katz_ci(dataset, alpha)
-    elif ci_style == "log_delta":
-        lower, upper = log_delta_ci(point.value, v_hat, n, alpha)
-    else:
-        lower, upper = wald_ci(point.value, v_hat, n, alpha)
+    lower, upper = INTERVALS[ci_style](point.value, v_hat, n, alpha)
     return RREstimate(point, v_hat, lower, upper, alpha, ci_style, n, flags)

@@ -48,6 +48,7 @@ from .estimators import (
 from .inference import (
     RREstimate,
     attach_interval,
+    check_ci_style,
     var_g,
     var_ht,
     var_ipw,
@@ -129,8 +130,7 @@ class EstimatorConfig:
             raise ValidationError("cross-fitted methods need k >= 2")
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
-        if self.ci_style not in ("wald", "log_delta", "katz"):
-            raise ValidationError(f"unknown interval style {self.ci_style!r}")
+        check_ci_style(self.ci_style)
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         if not 0.0 < self.eta <= 0.5:
@@ -163,6 +163,8 @@ class ExperimentPlan:
             raise ValidationError("reps must be >= 1")
         if not self.sample_sizes or any(n < 10 for n in self.sample_sizes):
             raise ValidationError("sample sizes must all be >= 10")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValidationError(f"sample sizes must be distinct, got {self.sample_sizes}")
         if not self.estimators:
             raise ValidationError("plan needs at least one estimator")
         validate_estimators(self.estimators)
@@ -171,12 +173,6 @@ class ExperimentPlan:
                 raise ValidationError(
                     f"{cfg.name}: k={cfg.k} folds exceed the smallest sample size "
                     f"{min(self.sample_sizes)}"
-                )
-            if cfg.ci_style == "katz":
-                # every built-in DGP has a continuous outcome
-                raise ValidationError(
-                    "the event-count interval needs a binary outcome; "
-                    f"DGP {self.dgp_kind!r} is continuous"
                 )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -247,7 +243,7 @@ def run_single(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle=
     nuisances = None if fit is None else fit(d, cfg, seed, _recipe(cfg, seed, oracle))
     point = point_of(d, cfg, nuisances)
     v = None if point.degenerate else variance_of(d, cfg, nuisances, point)
-    return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style, dataset=d)
+    return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style)
 
 
 def _one_replication(
@@ -391,13 +387,7 @@ _METRIC_FIELDS = (
 
 
 def report_to_json(report: MonteCarloReport) -> dict:
-    return {
-        "dgp_kind": report.dgp_kind,
-        "noise_sd": report.noise_sd,
-        "master_seed": report.master_seed,
-        "true_rr": report.true_rr,
-        "cells": [asdict(c) for c in report.cells],
-    }
+    return asdict(report)
 
 
 def write_report_json(report: MonteCarloReport, path) -> None:

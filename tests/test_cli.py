@@ -165,6 +165,7 @@ class TestImpossiblePlans:
             ("20", "aipw:parametric:50", []),
             ("60", "aipw:parametric:2:junk", []),
             ("10", "aipw:parametric:5,g", []),
+            ("60,60", "neyman", []),
         ],
     )
     def test_plan_that_cannot_succeed_exits_two(self, tmp_path, n_list, estimator, extra):
@@ -270,8 +271,32 @@ class TestEstimateSpecs:
             raise AssertionError("an estimator ran before every spec was validated")
 
         monkeypatch.setattr(cli, "run_single", run_single)
+        for specs in ("neyman,ht", "ipw,g:oracle"):
+            code = main(
+                ["estimate", "--input", str(_write_toy_csv(tmp_path)),
+                 "--out", str(tmp_path / "o"), "--estimators", specs]
+            )
+            assert code == 2
+
+    def test_oracle_default_nuisance_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "est"
         code = main(
-            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(tmp_path / "o"),
-             "--estimators", "neyman,ht"]
+            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(out),
+             "--nuisance", "oracle"]
         )
         assert code == 2
+        assert "oracle" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_event_count_style_exits_two_naming_the_styles(self, tmp_path, capsys, command):
+        if command == "estimate":
+            source = ["--input", str(_write_toy_csv(tmp_path))]
+        else:
+            source = ["--dgp", "linear_rct", "--truth-draws", "1000"]
+        out = tmp_path / "o"
+        code = main([command, *source, "--estimators", "neyman", "--ci-style", "katz",
+                     "--out", str(out)])
+        assert code == 2
+        assert "wald|log_delta" in capsys.readouterr().err
+        assert not (out / "report.json").exists()

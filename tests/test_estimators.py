@@ -22,7 +22,7 @@ from riskratio import (
     rr_os,
 )
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
-from riskratio.estimators import FoldPartition
+from riskratio.estimators import FoldPartition, fit_outcomes
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0  # closed form of the mixture design
 
@@ -132,6 +132,18 @@ class TestFolds:
         with pytest.raises(ValidationError):
             make_folds(10, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "k, assignment, message",
+        [
+            (3, [1, 1, 2, 2], "cover"),  # id 3 missing
+            (2, [0, 0, 1, 1], "cover"),  # ids start at 0
+            (2, [1, 1, 1, 2], "at most one"),
+        ],
+    )
+    def test_partition_invariants(self, k, assignment, message):
+        with pytest.raises(ValidationError, match=message):
+            FoldPartition(k=k, assignment=np.array(assignment))
+
     def test_deterministic_in_seed(self):
         a = make_folds(40, 5, seed=3)
         b = make_folds(40, 5, seed=3)
@@ -203,12 +215,23 @@ class TestCrossfit:
                 assert not np.array_equal(scores.folds.assignment, folds.assignment)
         assert rescued > 0 and errored > 0
 
+    def test_assignment_length_must_match_dataset(self):
+        d = dataset_from(t=[1, 0, 1, 0, 1, 0], y=np.ones(6))
+        with pytest.raises(ValidationError, match="length"):
+            crossfit_nuisances(d, make_folds(4, 2, seed=0), NuisanceRecipe())
+
     def test_bad_partition_without_seed_errors(self):
         d = dataset_from(t=[1, 0, 0, 0], y=[1.0, 2.0, 1.0, 2.0])
         recipe = NuisanceRecipe(propensity=constant_propensity(0.5), outcome="ols")
         folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=None)
         with pytest.raises(EstimationError):
             crossfit_nuisances(d, folds, recipe)
+
+
+def test_outcome_fit_needs_both_arms():
+    x = np.zeros((4, 1))
+    with pytest.raises(EstimationError, match="arm 0 is empty"):
+        fit_outcomes(x, np.ones(4, dtype=int), np.ones(4), NuisanceRecipe())
 
 
 def test_recipe_rejects_unknown_learner_names():

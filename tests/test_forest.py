@@ -105,6 +105,10 @@ def test_forest_config_validation():
         fit_forest_regressor(x, y, ForestConfig(min_leaf=1, mtry=9))
     with pytest.raises(ValidationError):
         fit_forest_regressor(x, y, ForestConfig(min_leaf=1, n_trees=0))
+    with pytest.raises(ValidationError, match="min_leaf"):
+        fit_forest_regressor(x, y, ForestConfig(min_leaf=0))
+    with pytest.raises(ValidationError, match="max_depth"):
+        fit_forest_regressor(x, y, ForestConfig(min_leaf=1, max_depth=-1))
     with pytest.raises(ValidationError):
         fit_forest_classifier(x, np.full(8, 2.0), ForestConfig(min_leaf=1))
 

@@ -11,6 +11,7 @@ from riskratio import (
     ExperimentPlan,
     ValidationError,
     compare_estimators,
+    katz_ci,
     run_experiment,
     run_single,
     write_report_csv,
@@ -53,6 +54,16 @@ class TestRunSingle:
         d = random_dataset(2, n=60)
         with pytest.raises(ValidationError):
             run_single(d, EstimatorConfig(method="ht"), seed=1)
+
+    def test_neyman_log_delta_is_the_event_count_interval(self):
+        # the crude ratio's event-count interval needs no style of its own
+        cfg = EstimatorConfig(method="neyman", ci_style="log_delta")
+        for seed in range(500):
+            d = random_dataset(seed, n=50, binary=True)
+            est = run_single(d, cfg, seed=1)
+            lower, upper = katz_ci(d)
+            assert est.ci_lower == pytest.approx(lower, rel=1e-12)
+            assert est.ci_upper == pytest.approx(upper, rel=1e-12)
 
 
 # the functions run_single calls through riskratio.montecarlo's globals, and
@@ -154,11 +165,29 @@ class TestPlanValidation:
             small_plan(dgp_kind="nope").validate()
         with pytest.raises(ValidationError):
             small_plan(workers=0).validate()
+        with pytest.raises(ValidationError, match="distinct"):
+            small_plan(sample_sizes=(60, 80, 60)).validate()
 
-    def test_event_count_interval_rejected_for_continuous_outcomes(self):
+    def test_event_count_style_is_an_unknown_interval_style(self):
         plan = small_plan(estimators=(EstimatorConfig(method="neyman", ci_style="katz"),))
-        with pytest.raises(ValidationError, match="binary"):
+        with pytest.raises(ValidationError, match="unknown interval style"):
             plan.validate()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(method="os", k=1), "k >= 2"),
+            (dict(method="aipw", k=1), "k >= 2"),
+            (dict(alpha=0.0), "alpha"),
+            (dict(alpha=1.0), "alpha"),
+            (dict(eta=0.0), "eta"),
+            (dict(eta=0.6), "eta"),
+        ],
+    )
+    def test_bad_estimator_configs_rejected(self, overrides, message):
+        cfg = EstimatorConfig(**{"method": "neyman", **overrides})
+        with pytest.raises(ValidationError, match=message):
+            cfg.validate()
 
     def test_unknown_method_is_validation_error(self):
         plan = small_plan(estimators=(EstimatorConfig(method="bogus"),))
