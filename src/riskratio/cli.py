@@ -62,6 +62,15 @@ _COMMON = {
     "config": (None, str, "key=value config file; explicit flags override it"),
 }
 
+# estimator settings shared by estimate and experiment
+_ESTIMATOR = {
+    "alpha": (0.05, float, "interval miscoverage level"),
+    "ci_style": ("wald", str, _STYLES_HELP),
+    "eta": (0.01, float, "propensity clipping level"),
+    "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
+    "n_trees": (100, int, "trees per forest nuisance"),
+}
+
 _OPTIONS = {
     "estimate": {
         **_COMMON,
@@ -70,11 +79,7 @@ _OPTIONS = {
         "estimators": (("aipw",), _to_str_list, _SPECS_HELP),
         "nuisance": ("parametric", str, "default nuisance learners: parametric|forest"),
         "k": (5, int, "cross-fitting folds for os/aipw"),
-        "alpha": (0.05, float, "interval miscoverage level"),
-        "ci_style": ("wald", str, _STYLES_HELP),
-        "eta": (0.01, float, "propensity clipping level"),
-        "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
-        "n_trees": (100, int, "trees per forest nuisance"),
+        **_ESTIMATOR,
         "seed": (0, int, "seed for folds and forest nuisances"),
     },
     "simulate": {
@@ -93,11 +98,7 @@ _OPTIONS = {
         "sigma": (1.0, float, "outcome noise standard deviation"),
         "master_seed": (0, int, "master seed; replication seeds derive from it"),
         "estimators": (("parametric_aipw",), _to_str_list, _SPECS_HELP),
-        "alpha": (0.05, float, "interval miscoverage level"),
-        "ci_style": ("wald", str, _STYLES_HELP),
-        "eta": (0.01, float, "propensity clipping level"),
-        "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
-        "n_trees": (100, int, "trees per forest nuisance"),
+        **_ESTIMATOR,
         "truth_draws": (10**6, int, "Monte-Carlo draws for the true RR"),
         "workers": (1, int, "concurrent replication workers"),
         "out": (None, str, "output directory (required)"),

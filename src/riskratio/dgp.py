@@ -33,12 +33,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import ObservationalDataset, write_csv
 from .errors import ValidationError
-from .nuisance import Linear, Logistic, OutcomeModel, PropensityModel, constant_propensity, expit
+from .nuisance import OutcomeModel, PropensityModel, expit
 from .rng import CounterRng, derive_seed
 
 KINDS = (
@@ -184,13 +185,12 @@ def generate(spec: DGPSpec) -> GeneratedSample:
     t = CounterRng(derive_seed(spec.seed, _STREAM_TREATMENT)).bernoulli(e).astype(np.int8)
     eps0 = spec.noise_sd * CounterRng(derive_seed(spec.seed, _STREAM_NOISE_0)).normals(spec.n)
     eps1 = spec.noise_sd * CounterRng(derive_seed(spec.seed, _STREAM_NOISE_1)).normals(spec.n)
+    mu1 = m + b  # the sum _treated_mean takes, in the same order
     y0 = b + eps0
-    y1 = m + b + eps1
+    y1 = mu1 + eps1
     y = np.where(t == 1, y1, y0)
     dataset = ObservationalDataset(x=x, t=t, y=y)
-    return GeneratedSample(
-        dataset=dataset, y0=y0, y1=y1, e_true=e, mu0_true=b, mu1_true=m + b
-    )
+    return GeneratedSample(dataset=dataset, y0=y0, y1=y1, e_true=e, mu0_true=b, mu1_true=mu1)
 
 
 def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
@@ -229,34 +229,24 @@ def softplus_mean_quadrature(scale_sq: float = 3.0, nodes: int = 128) -> float:
     return float(np.sum(weights * 2.0 * np.logaddexp(0.0, z)) / np.sqrt(np.pi))
 
 
+def _treated_mean(kind: str, x: np.ndarray) -> np.ndarray:
+    return _effect(kind, x) + _baseline(kind, x)
+
+
 def oracle_models(kind: str) -> tuple[PropensityModel, OutcomeModel, OutcomeModel]:
-    """True nuisances wrapped as fixed models: (e, mu0, mu1)."""
+    """True nuisances wrapped as fixed models: (e, mu0, mu1).
+
+    The surfaces are the ones :func:`generate` draws from, so on a generated
+    sample the predictions equal ``e_true``, ``mu0_true`` and ``mu1_true``
+    exactly; the models pickle, and are of kind ``function``.
+    """
     if kind not in KINDS:
         raise ValidationError(f"unknown DGP kind {kind!r}")
-    if kind in ("linear_rct", "nonlinear_rct"):
-        e_model = constant_propensity(0.5, clip=ORACLE_CLIP)
-    elif kind == "lunceford":
-        coef = np.concatenate([_LUN_BETA_E, np.zeros(3)])
-        e_model = PropensityModel(Logistic(0.0, coef), clip=ORACLE_CLIP, n_features=6)
-    elif kind == "wager_nl_logistic":
-        coef = np.array([0.0, -1.0, -1.0, 0.0, 0.0, 0.0])
-        e_model = PropensityModel(Logistic(0.0, coef), clip=ORACLE_CLIP, n_features=6)
-    else:
-        e_model = PropensityModel(
-            lambda x: _propensity("wager_nl_nonlogistic", x), clip=ORACLE_CLIP, n_features=6
-        )
-    if kind == "linear_rct":
-        mu0 = OutcomeModel(Linear(_LIN_C0, _LIN_BETA0), arm=0, n_features=6)
-        mu1 = OutcomeModel(Linear(_LIN_C1, _LIN_BETA1), arm=1, n_features=6)
-    elif kind == "lunceford":
-        mu0 = OutcomeModel(Linear(0.0, _LUN_BETA_B), arm=0, n_features=6)
-        mu1 = OutcomeModel(Linear(_LUN_EFFECT, _LUN_BETA_B), arm=1, n_features=6)
-    else:
-        mu0 = OutcomeModel(lambda x, k=kind: _baseline(k, x), arm=0, n_features=6)
-        mu1 = OutcomeModel(
-            lambda x, k=kind: _baseline(k, x) + _effect(k, x), arm=1, n_features=6
-        )
-    return e_model, mu0, mu1
+    return (
+        PropensityModel(partial(_propensity, kind), clip=ORACLE_CLIP, n_features=N_COVARIATES),
+        OutcomeModel(partial(_baseline, kind), arm=0, n_features=N_COVARIATES),
+        OutcomeModel(partial(_treated_mean, kind), arm=1, n_features=N_COVARIATES),
+    )
 
 
 def export_sample(sample: GeneratedSample, directory) -> tuple[str, str]:

@@ -182,9 +182,13 @@ def fit_logistic_mle(
     ``(1/n) sum x~_i (t_i - p_i)`` has max-norm at most ``tol``.
 
     Raises:
+        RankDeficiencyError: the design ``(1, x)`` is column-rank deficient;
+            the message names the first offending column (0 = intercept).
         SeparationError: the coefficients diverge, so the score cannot
             vanish (perfect or quasi-perfect separation).
-        ConvergenceError: ``max_iter`` exhausted; reports the final score norm.
+        ConvergenceError: ``max_iter`` exhausted with the score max-norm
+            above ``tol`` (above ``10 * tol`` if the last step could not
+            lower the likelihood); reports the final score norm.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -201,10 +205,15 @@ def fit_logistic_mle(
         penalty[1:] = ridge
     s = xt @ beta
     nll = _neg_log_likelihood(s, t, beta, ridge)
-    for _ in range(max_iter):
+    stalled = False
+    for it in range(max_iter + 1):
         prob = expit(s)
         score = xt.T @ (t - prob) / n - penalty * beta
-        if np.max(np.abs(score)) <= tol:
+        score_norm = float(np.max(np.abs(score)))
+        # at the rounding floor an accepted step can leave the likelihood
+        # unchanged, so the score stops shrinking just above tol; once the
+        # iterations run out, such a stalled fit is accepted within 10 * tol
+        if score_norm <= tol or (it == max_iter and stalled and score_norm <= 10.0 * tol):
             # without a separating hyperplane some residual stays >= 0.5 at
             # every beta, so a vanishing score with uniformly tiny residuals
             # means the data are separated and no finite MLE exists
@@ -216,15 +225,21 @@ def fit_logistic_mle(
             return PropensityModel(
                 Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=p
             )
+        if it == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} iterations; score max-norm {score_norm:.3e}"
+            )
         w = prob * (1.0 - prob)
         hess = (xt * w[:, None]).T @ xt / n + np.diag(penalty)
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
+            _raise_on_dependent_column(xt)
             raise SeparationError(
-                "singular information matrix with score norm "
-                f"{np.max(np.abs(score)):.3e}; coefficient norm {np.max(np.abs(beta)):.3e}"
+                f"singular information matrix with score norm {score_norm:.3e}; "
+                f"coefficient norm {np.max(np.abs(beta)):.3e}"
             ) from None
+        nll_before = nll
         lam = 1.0
         for _ in range(40):
             cand = beta + lam * step
@@ -238,16 +253,23 @@ def fit_logistic_mle(
             beta = beta + lam * step
             s = xt @ beta
             nll = _neg_log_likelihood(s, t, beta, ridge)
+        stalled = not nll < nll_before
         if np.max(np.abs(beta)) > _SEPARATION_NORM:
             raise SeparationError(
                 f"diverging coefficients (max |beta| = {np.max(np.abs(beta)):.3e}); "
                 "data are (quasi-)separated"
             )
-    prob = expit(xt @ beta)
-    score_norm = float(np.max(np.abs(xt.T @ (t - prob) / n - penalty * beta)))
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations; score max-norm {score_norm:.3e}"
-    )
+
+
+def _raise_on_dependent_column(xt: np.ndarray) -> None:
+    """Raise :class:`RankDeficiencyError` naming the first column of ``xt``
+    that is linearly dependent on earlier ones; return if there is none."""
+    prev = 0
+    for j in range(xt.shape[1]):
+        r = np.linalg.matrix_rank(xt[:, : j + 1])
+        if r == prev:
+            raise RankDeficiencyError(f"design column {j} is linearly dependent on earlier columns")
+        prev = r
 
 
 def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeModel:
@@ -266,14 +288,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
     coef, _, rank, _ = np.linalg.lstsq(xt, y, rcond=None)
     if rank < p + 1:
         # locate the first dependent column only once the fit shows one exists
-        prev = 0
-        for j in range(p + 1):
-            r = np.linalg.matrix_rank(xt[:, : j + 1])
-            if r == prev:
-                raise RankDeficiencyError(
-                    f"design column {j} is linearly dependent on earlier columns"
-                )
-            prev = r
+        _raise_on_dependent_column(xt)
     return OutcomeModel(Linear(float(coef[0]), coef[1:].copy()), arm=arm, n_features=p)
 
 

@@ -40,7 +40,7 @@ widest row count, which bounds both memory and padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -314,16 +314,8 @@ def _partition(buf, xe, idx, cell, feature, threshold):
 
 
 def forest_to_dict(forest: Forest) -> dict:
-    cfg = forest.config
     return {
-        "config": {
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "min_leaf": cfg.min_leaf,
-            "mtry": cfg.mtry,
-            "bootstrap": cfg.bootstrap,
-            "seed": cfg.seed,
-        },
+        "config": asdict(forest.config),
         "n_features": forest.n_features,
         "trees": [
             {

@@ -114,6 +114,12 @@ def test_dataset_invariants():
         ObservationalDataset(x=np.zeros((0, 1)), t=np.array([]), y=np.array([]))
     with pytest.raises(ValidationError):
         ObservationalDataset(x=np.zeros((2, 1)), t=np.array([1, 0, 1]), y=np.ones(2))
+    with pytest.raises(ValidationError, match="2-d matrix"):
+        ObservationalDataset(x=np.zeros((2, 1, 1)), t=np.array([1, 0]), y=np.ones(2))
+    with pytest.raises(ValidationError, match="1-d vectors"):
+        ObservationalDataset(x=np.zeros((2, 1)), t=np.array([[1, 0]]), y=np.ones(2))
+    with pytest.raises(ValidationError, match="1-d vectors"):
+        ObservationalDataset(x=np.zeros((2, 1)), t=np.array([1, 0]), y=np.ones((2, 1)))
 
 
 def test_dataset_is_immutable():

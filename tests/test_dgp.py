@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,10 @@ class TestGenerate:
             DGPSpec(kind="lunceford", n=0, seed=0)
         with pytest.raises(ValidationError):
             DGPSpec(kind="lunceford", n=10, seed=0, noise_sd=-1.0)
+        with pytest.raises(ValidationError, match="unknown DGP kind"):
+            true_rr("unknown")
+        with pytest.raises(ValidationError, match="unknown DGP kind"):
+            oracle_models("unknown")
 
 
 class TestTrueRR:
@@ -150,11 +156,12 @@ class TestOracleModels:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_surfaces_match_generated_truth(self, kind):
-        e_model, mu0, mu1 = oracle_models(kind)
         s = generate(DGPSpec(kind=kind, n=400, seed=15))
-        assert np.allclose(mu0.predict(s.dataset.x), s.mu0_true)
-        assert np.allclose(mu1.predict(s.dataset.x), s.mu1_true)
-        assert np.allclose(e_model.predict(s.dataset.x), s.e_true, atol=1e-6)
+        models = oracle_models(kind)
+        for e_model, mu0, mu1 in (models, pickle.loads(pickle.dumps(models))):
+            assert np.array_equal(mu0.predict(s.dataset.x), s.mu0_true)
+            assert np.array_equal(mu1.predict(s.dataset.x), s.mu1_true)
+            assert np.array_equal(e_model.predict(s.dataset.x), s.e_true)
 
 
 class TestExport:

@@ -102,6 +102,12 @@ class TestVarHT:
         with pytest.raises(ValidationError):
             var_ht(dataset_from(t=[1, 1], y=[1.0, 2.0]), 0.5)
 
+    def test_e_outside_unit_interval_errors(self):
+        d = dataset_from(t=[1, 0, 1, 0], y=[1.0, 1.0, 1.0, 1.0])
+        for e in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValidationError, match="must lie in"):
+                var_ht(d, e)
+
 
 class TestVarIPW:
     def test_constant_half_on_balanced_data_matches_ht(self):
@@ -134,6 +140,11 @@ class TestVarIPW:
         expected = tau**2 * (num1 / den1**2 + num0 / den0**2)
         assert var_ipw(d, model) == pytest.approx(expected, rel=1e-12)
         assert rr_ipw(d, model).value == pytest.approx(tau, rel=1e-12)
+
+    def test_zero_weighted_arm_mean_errors(self):
+        d = dataset_from(t=[1, 1, 0, 0], y=[1.0, -1.0, 2.0, 2.0])
+        with pytest.raises(ValidationError, match="weighted arm mean is zero"):
+            var_ipw(d, constant_propensity(0.5))
 
     def test_clipping_keeps_variance_finite(self):
         g = np.random.default_rng(5)
@@ -170,6 +181,10 @@ class TestVarIPWAdjusted:
         forest_like = PropensityModel(lambda x: np.full(len(x), 0.5))
         with pytest.raises(ValidationError):
             var_ipw_mle_adjusted(d, forest_like)
+        # a known propensity is not an estimated one: the oracle is refused too
+        sample = generate(DGPSpec(kind="lunceford", n=200, seed=32))
+        with pytest.raises(ValidationError):
+            var_ipw_mle_adjusted(sample.dataset, oracle_models("lunceford")[0])
 
 
 class TestVarG:
@@ -221,6 +236,15 @@ class TestVarOS:
             d=d, e=np.full(4, 0.5), mu0=np.ones(4), mu1=np.ones(4), folds=folds
         )
         assert var_os(scores, RRPoint(1.0, "aipw")) == 0.0
+
+    def test_zero_augmented_arm_mean_errors(self):
+        d = dataset_from(t=[1, 0, 1, 0], y=[1.0, 1.0, -1.0, 1.0])
+        folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=0)
+        scores = CrossfitScores(
+            d=d, e=np.full(4, 0.5), mu0=np.ones(4), mu1=np.zeros(4), folds=folds
+        )
+        with pytest.raises(ValidationError, match="augmented arm mean is zero"):
+            var_os(scores, RRPoint(1.0, "aipw"))
 
     def test_four_row_hand_value(self):
         d, scores = self._toy_scores()
@@ -279,6 +303,11 @@ class TestIntervals:
     def test_log_delta_needs_positive_point(self):
         with pytest.raises(ValidationError):
             log_delta_ci(0.0, 1.0, 10)
+
+    def test_negative_variance_errors(self):
+        for interval in (wald_ci, log_delta_ci):
+            with pytest.raises(ValidationError, match="non-negative"):
+                interval(2.0, -1e-12, 50)
 
     def test_katz_hand_arithmetic(self):
         t = np.repeat([1, 0], 20)

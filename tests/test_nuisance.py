@@ -22,7 +22,7 @@ from riskratio import (
     model_to_json,
 )
 from riskratio import nuisance
-from riskratio.dgp import DGPSpec, generate
+from riskratio.dgp import DGPSpec, generate, oracle_models
 from riskratio.nuisance import Linear, Logistic, OutcomeModel, PropensityModel, expit
 
 
@@ -72,6 +72,18 @@ def test_logistic_preconditions():
         fit_logistic_mle(np.zeros((2, 3)), np.array([1, 0]))
     with pytest.raises(ValidationError):
         fit_logistic_mle(np.zeros((5, 1)), np.ones(5, dtype=int))
+
+
+@pytest.mark.parametrize("seed, ridge", [(80, 0.0), (229, 0.0), (43, 1.0)])
+def test_logistic_stalled_at_rounding_floor_returns_model(seed, ridge):
+    # the score stops just above tol while every accepted step leaves the
+    # likelihood unchanged; once max_iter runs out the fit is accepted
+    x, t = _outlier_sample(seed)
+    model = fit_logistic_mle(x, t, ridge=ridge)
+    xt = np.column_stack([np.ones(len(t)), x])
+    beta = np.concatenate([[model.surface.intercept], model.surface.coef])
+    score = xt.T @ (t - expit(xt @ beta)) / len(t) - ridge * np.r_[0.0, beta[1:]]
+    assert 1e-8 < np.max(np.abs(score)) <= 1e-7
 
 
 def test_logistic_non_convergence_reports_norm():
@@ -126,6 +138,18 @@ def test_ols_rank_deficiency_names_column():
         fit_ols(x, g.normal(size=50))
 
 
+@pytest.mark.parametrize("third", ["copy", "zeros", "ones"])
+def test_logistic_rank_deficiency_names_column(third):
+    # a repeated column, a zero column and a second intercept make the
+    # information matrix singular; that is a design fault, not separation
+    g = np.random.default_rng(5)
+    x1, x2 = g.normal(size=(2, 200))
+    t = (g.random(200) < 0.5).astype(int)
+    x3 = {"copy": x1, "zeros": np.zeros(200), "ones": np.ones(200)}[third]
+    with pytest.raises(RankDeficiencyError, match="design column 3"):
+        fit_logistic_mle(np.column_stack([x1, x2, x3]), t)
+
+
 def test_predict_logistic_at_zero_is_half():
     model = PropensityModel(Logistic(0.0, np.zeros(2)), n_features=2)
     assert model.predict(np.array([3.0, -4.0]))[0] == 0.5
@@ -147,6 +171,8 @@ def test_predict_dimension_mismatch():
     model = OutcomeModel(Linear(0.0, np.array([1.0, 2.0])), n_features=2)
     with pytest.raises(ValidationError, match="dimension"):
         model.predict(np.array([1.0]))
+    with pytest.raises(ValidationError, match="row or a matrix"):
+        model.predict(np.zeros((2, 2, 1)))
 
 
 def test_clip_validation():
@@ -169,6 +195,16 @@ def test_model_json_round_trip():
         back = model_from_json(model_to_json(model))
         assert np.allclose(back.predict(x), model.predict(x))
         assert json.loads(model_to_json(model))["model"] == model.kind
+
+
+def test_model_json_refusals():
+    for oracle in oracle_models("lunceford"):
+        assert oracle.kind == "function"
+        with pytest.raises(ValidationError, match="cannot be serialised"):
+            model_to_json(oracle)
+    ols = json.loads(model_to_json(fit_ols(np.arange(4.0).reshape(-1, 1), np.arange(4.0))))
+    with pytest.raises(ValidationError, match="cannot deserialise model kind 'ols'"):
+        model_from_json(json.dumps({**ols, "target": "propensity", "clip": 0.01}))
 
 
 _EDGE_LOGITS = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.5, 710.5,

@@ -46,6 +46,7 @@ def test_derive_seed_changes_stream():
     assert s != derive_seed(6, 1)
     assert s == derive_seed(5, 1)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
+    assert CounterRng(s).seed == s
     u = CounterRng(derive_seed(5, 1)).uniforms(100)
     v = CounterRng(derive_seed(5, 2)).uniforms(100)
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.3
@@ -60,6 +61,8 @@ def test_bernoulli_scalar_and_vector():
     r = CounterRng(9)
     draws = r.bernoulli(0.25, n=100_000)
     assert abs(draws.mean() - 0.25) < 0.01
+    with pytest.raises(ValueError, match="requires n"):
+        r.bernoulli(0.25)
     p = np.array([0.0, 1.0, 0.5])
     d = CounterRng(9).bernoulli(p)
     assert not d[0] and d[1]
