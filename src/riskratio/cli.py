@@ -62,13 +62,13 @@ _COMMON = {
     "config": (None, str, "key=value config file; explicit flags override it"),
 }
 
-# estimator settings shared by estimate and experiment
+# estimator settings shared by estimate and experiment, defaulting to EstimatorConfig's
 _ESTIMATOR = {
-    "alpha": (0.05, float, "interval miscoverage level"),
-    "ci_style": ("wald", str, _STYLES_HELP),
-    "eta": (0.01, float, "propensity clipping level"),
-    "e": (None, _to_float_or_none, "known assignment probability (ht only)"),
-    "n_trees": (100, int, "trees per forest nuisance"),
+    "alpha": (EstimatorConfig.alpha, float, "interval miscoverage level"),
+    "ci_style": (EstimatorConfig.ci_style, str, _STYLES_HELP),
+    "eta": (EstimatorConfig.eta, float, "propensity clipping level"),
+    "e": (EstimatorConfig.e, _to_float_or_none, "known assignment probability (ht only)"),
+    "n_trees": (EstimatorConfig.n_trees, int, "trees per forest nuisance"),
 }
 
 _OPTIONS = {
@@ -77,8 +77,8 @@ _OPTIONS = {
         "input": (None, str, "input CSV with header y,t,x1..xp (required)"),
         "out": (None, str, "output directory (required)"),
         "estimators": (("aipw",), _to_str_list, _SPECS_HELP),
-        "nuisance": ("parametric", str, "default nuisance learners: parametric|forest"),
-        "k": (5, int, "cross-fitting folds for os/aipw"),
+        "nuisance": (EstimatorConfig.nuisance, str, "default nuisance learners: parametric|forest"),
+        "k": (EstimatorConfig.k, int, "cross-fitting folds for os/aipw"),
         **_ESTIMATOR,
         "seed": (0, int, "seed for folds and forest nuisances"),
     },
@@ -87,7 +87,7 @@ _OPTIONS = {
         "dgp": (None, str, f"DGP kind, one of {KINDS} (required)"),
         "n": (1000, int, "sample size"),
         "seed": (0, int, "generator seed"),
-        "sigma": (1.0, float, "outcome noise standard deviation"),
+        "sigma": (DGPSpec.noise_sd, float, "outcome noise standard deviation"),
         "out": (None, str, "output directory (required)"),
     },
     "experiment": {
@@ -95,12 +95,14 @@ _OPTIONS = {
         "dgp": (None, str, f"DGP kind, one of {KINDS} (required)"),
         "n_list": ((1000,), _to_int_list, "comma list of sample sizes"),
         "reps": (300, int, "replications per sample size"),
-        "sigma": (1.0, float, "outcome noise standard deviation"),
-        "master_seed": (0, int, "master seed; replication seeds derive from it"),
+        "sigma": (ExperimentPlan.noise_sd, float, "outcome noise standard deviation"),
+        "master_seed": (
+            ExperimentPlan.master_seed, int, "master seed; replication seeds derive from it"
+        ),
         "estimators": (("parametric_aipw",), _to_str_list, _SPECS_HELP),
         **_ESTIMATOR,
-        "truth_draws": (10**6, int, "Monte-Carlo draws for the true RR"),
-        "workers": (1, int, "concurrent replication workers"),
+        "truth_draws": (ExperimentPlan.truth_draws, int, "Monte-Carlo draws for the true RR"),
+        "workers": (ExperimentPlan.workers, int, "concurrent replication workers"),
         "out": (None, str, "output directory (required)"),
     },
     "true-rr": {
@@ -201,8 +203,8 @@ def _parse_estimator_spec(spec: str, cfg: dict) -> EstimatorConfig:
     if len(parts) > 3:
         raise ValidationError(f"estimator {spec!r} has more than three ':'-separated parts")
     method = parts[0]
-    nuisance = cfg.get("nuisance", "parametric")
-    k = cfg.get("k", 5)
+    nuisance = cfg.get("nuisance", EstimatorConfig.nuisance)
+    k = cfg.get("k", EstimatorConfig.k)
     if method not in METHODS and "_" in method and len(parts) == 1:
         nuisance, _, method = method.partition("_")
     if len(parts) >= 2:

@@ -16,15 +16,17 @@ one convention under which the exact finite-sample identities hold:
 (``wald``) and normal on the log scale (``log_delta``).  :func:`katz_ci`
 is the crude ratio's event-count interval on binary outcomes; by the
 identity above it is the ``log_delta`` interval of ``neyman``, so it is a
-check, not a style.  The standard-normal quantile uses Acklam's rational
-approximation refined by one Halley step (coefficients below), accurate
-to well under 1e-9.
+check, not a style.  All three interval functions take their critical
+value, and their check of ``alpha``, from ``_z``.  The standard-normal
+quantile is the standard library's ``statistics.NormalDist().inv_cdf``
+(Wichura's AS241), within 8e-16 relative error of the exact quantile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -36,41 +38,21 @@ from .nuisance import OutcomeModel, PropensityModel
 FLAG_VARIANCE_CLAMPED = "variance-clamped-to-zero"
 _EPS_OPEN_INTERVAL = 1e-12  # clamp for optimal-e boundary cases
 
-# Acklam's inverse normal CDF coefficients (central and tail regions).
-_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-      1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-      6.680131188771972e01, -1.328068155288572e01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-      -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-      3.754408661907416e00)
-_P_LOW = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 
 def norm_quantile(p: float) -> float:
     """Standard normal quantile on (0, 1); exact 0 at p = 1/2."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"quantile argument must lie in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # one Halley step against the exact CDF via erfc
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)
+
+
+def _z(alpha: float) -> float:
+    """Two-sided critical value ``norm_quantile(1 - alpha/2)``, exactly 0 at ``alpha = 1``."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1], got {alpha}")
+    return norm_quantile(1.0 - alpha / 2.0)
 
 
 @dataclass(frozen=True)
@@ -214,7 +196,7 @@ def wald_ci(point: float, v_hat: float, n: int, alpha: float = 0.05) -> tuple[fl
     """Symmetric normal interval ``point +- z sqrt(v_hat / n)``."""
     if v_hat < 0.0:
         raise ValidationError("variance must be non-negative")
-    z = norm_quantile(1.0 - alpha / 2.0) if alpha < 1.0 else 0.0
+    z = _z(alpha)
     half = z * math.sqrt(v_hat / n)
     return point - half, point + half
 
@@ -225,7 +207,7 @@ def log_delta_ci(point: float, v_hat: float, n: int, alpha: float = 0.05) -> tup
         raise ValidationError("log-scale interval needs a positive point estimate")
     if v_hat < 0.0:
         raise ValidationError("variance must be non-negative")
-    z = norm_quantile(1.0 - alpha / 2.0) if alpha < 1.0 else 0.0
+    z = _z(alpha)
     half = z * math.sqrt(v_hat / (n * point * point))
     return point * math.exp(-half), point * math.exp(half)
 
@@ -257,7 +239,7 @@ def katz_ci(d: ObservationalDataset, alpha: float = 0.05) -> tuple[float, float]
         raise ValidationError("event-count interval needs events in both arms")
     sigma2 = 1.0 / events1 - 1.0 / d.n1 + 1.0 / events0 - 1.0 / d.n0
     sigma = math.sqrt(max(sigma2, 0.0))
-    z = norm_quantile(1.0 - alpha / 2.0) if alpha < 1.0 else 0.0
+    z = _z(alpha)
     tau = rr_neyman(d).value
     return tau * math.exp(-z * sigma), tau * math.exp(z * sigma)
 

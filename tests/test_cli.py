@@ -157,6 +157,32 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+# config.resolved of each command run with defaults only, minus its input / out lines
+DEFAULT_RESOLVED = {
+    "estimate": (
+        "alpha=0.05\nci_style=wald\ncommand=estimate\ne=\nestimators=aipw\neta=0.01\n"
+        "k=5\nn_trees=100\nnuisance=parametric\nseed=0\n"
+    ),
+    "experiment": (
+        "alpha=0.05\nci_style=wald\ncommand=experiment\ndgp=lunceford\ne=\n"
+        "estimators=parametric_aipw\neta=0.01\nmaster_seed=0\nn_list=1000\nn_trees=100\n"
+        "reps=300\nsigma=1.0\ntruth_draws=1000000\nworkers=1\n"
+    ),
+}
+
+
+class TestResolvedDefaults:
+    @pytest.mark.parametrize("command", sorted(DEFAULT_RESOLVED))
+    def test_default_config_resolved_text(self, tmp_path, command):
+        out = tmp_path / "o"
+        source = ["--input", "in.csv"] if command == "estimate" else ["--dgp", "lunceford"]
+        args = cli._build_parser().parse_args([command, *source, "--out", str(out)])
+        cli._write_resolved(cli._resolve(args))
+        lines = (out / "config.resolved").read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(l for l in lines if not l.startswith(("input=", "out=")))
+        assert text == DEFAULT_RESOLVED[command]
+
+
 class TestImpossiblePlans:
     @pytest.mark.parametrize(
         "n_list, estimator, extra",

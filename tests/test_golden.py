@@ -1,21 +1,21 @@
 """Golden pins of ``run_single`` and of model serialisation.
 
-Point estimates and variances for ``ipw``, ``g``, ``os`` and ``aipw`` under
-parametric, forest and oracle nuisances, and for the design-based ``neyman``
-and ``ht``, on one fixed sample, stored as ``float.hex`` strings and
-compared for exact equality.  Any change to the nuisance-fitting path, the
-forest seeds or the variance formulas that moves a single bit shows up
-here.  The ``model_to_json`` text of one model of each
-serialisable kind is pinned by its sha256, and a JSON round trip must
-predict bit for bit.  Forests in the ``mc_forest`` benchmark shape (100
-trees on a 250-row fold complement of ``wager_nl_nonlogistic``) and small
-forests under non-default growth settings pin both their JSON text and
-their predictions, so any change to tree growth, its random draws or the
-ensemble mean shows up here.  The ``report_to_json`` text of one small
-Monte-Carlo plan, with a size where some estimators fail in every
-replication and one where all succeed, pins the replication accounting.
-The bytes ``write_csv`` writes for two fixed samples are pinned by their
-sha256.
+Point estimates, variances and interval bounds for ``ipw``, ``g``, ``os``
+and ``aipw`` under parametric, forest and oracle nuisances, and for the
+design-based ``neyman`` and ``ht``, on one fixed sample, stored as
+``float.hex`` strings and compared for exact equality.  Any change to the
+nuisance-fitting path, the forest seeds, the variance formulas or the
+critical value that moves a single bit shows up here.  The
+``model_to_json`` text of one model of each serialisable kind is pinned by
+its sha256, and a JSON round trip must predict bit for bit.  Forests in the
+``mc_forest`` benchmark shape (100 trees on a 250-row fold complement of
+``wager_nl_nonlogistic``) and small forests under non-default growth
+settings pin both their JSON text and their predictions, so any change to
+tree growth, its random draws or the ensemble mean shows up here.  The
+``report_to_json`` text of one small Monte-Carlo plan, with a size where
+some estimators fail in every replication and one where all succeed, pins
+the replication accounting.  The bytes ``write_csv`` writes for two fixed
+samples are pinned by their sha256.
 """
 
 import hashlib
@@ -69,6 +69,26 @@ GOLDEN = {
 }
 
 
+# (method, nuisance) -> (ci_lower.hex(), ci_upper.hex()) of the same runs: the
+# default wald interval at alpha 0.05
+GOLDEN_CI = {
+    ("aipw", "forest"): ("0x1.57d7ac728142ep-2", "0x1.6f0a57adffb46p+0"),
+    ("aipw", "oracle"): ("0x1.86557b04a6d6ep+0", "0x1.f11f028f5cde6p+0"),
+    ("aipw", "parametric"): ("0x1.8382df165bf0ap+0", "0x1.f4ceda1ade074p+0"),
+    ("g", "forest"): ("-0x1.3391f88812380p-3", "0x1.3b99ded549ccfp+2"),
+    ("g", "oracle"): ("-0x1.d82a5fe5dde20p-2", "0x1.01e4d15b83140p+2"),
+    ("g", "parametric"): ("-0x1.b540f1e142c50p-2", "0x1.f24af2e64720ep+1"),
+    ("ht", "parametric"): ("-0x1.1b394c6064b32p+6", "0x1.3267445fe5fddp+4"),
+    ("ipw", "forest"): ("0x1.5705adfe03cd0p+0", "0x1.041176eef985ap+3"),
+    ("ipw", "oracle"): ("0x1.af0ea590224e7p-1", "0x1.4d3fad7071b6cp+1"),
+    ("ipw", "parametric"): ("0x1.f94615207233cp-1", "0x1.b3b4ebaed31cfp+1"),
+    ("neyman", "parametric"): ("-0x1.978f41bc3d088p+5", "0x1.025c6de7aee54p+4"),
+    ("os", "forest"): ("-0x1.41690d3e832bbp+2", "-0x1.2d18abded969bp+0"),
+    ("os", "oracle"): ("0x1.85e884cca8708p+0", "0x1.f0943d1071d4ep+0"),
+    ("os", "parametric"): ("0x1.8334f464dd2c0p+0", "0x1.f46a2796e5364p+0"),
+}
+
+
 @pytest.fixture(scope="module")
 def sample():
     return generate(DGPSpec(kind="lunceford", n=400, seed=11)).dataset
@@ -81,6 +101,15 @@ def test_run_single_is_bit_identical(sample, method, nuisance):
     point_hex, v_hex = GOLDEN[(method, nuisance)]
     assert est.point.value == float.fromhex(point_hex)
     assert est.v_hat == float.fromhex(v_hex)
+
+
+@pytest.mark.parametrize("method, nuisance", sorted(GOLDEN_CI))
+def test_run_single_interval_is_bit_identical(sample, method, nuisance):
+    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, e=0.5, n_trees=4)
+    est = run_single(sample, cfg, SEED, oracle_models("lunceford"))
+    lower_hex, upper_hex = GOLDEN_CI[(method, nuisance)]
+    assert est.ci_lower == float.fromhex(lower_hex)
+    assert est.ci_upper == float.fromhex(upper_hex)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +239,7 @@ def test_forest_json_and_predictions_are_bit_identical(wager, forests, name):
 
 
 # sha256 of the report_to_json text (indent=2, as report.json is written)
-GOLDEN_REPORT = "e08c7c78b5faaf570569fbff9203d760064404582d9c680ab329b35848ec2326"
+GOLDEN_REPORT = "f1b5646d548710c3c7dca856c6e2b89be1743f197b03e90c36ac905cd8fea41e"
 
 
 def test_monte_carlo_report_is_byte_identical():

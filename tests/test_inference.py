@@ -44,7 +44,28 @@ def _quantile_by_bisection(p, lo=-40.0, hi=40.0):
     return 0.5 * (lo + hi)
 
 
+# p -> its standard normal quantile rounded to the nearest double, computed
+# offline as sqrt(2) erfinv(2p - 1) at 80 significant digits (mpmath 1.3.0)
+QUANTILES = {
+    1e-30: "-0x1.6ed94a4dacdc8p+3",
+    1e-8: "-0x1.672b074435e3dp+2",
+    1e-4: "-0x1.dc08bb712893bp+1",
+    0.02425: "-0x1.f913f9b7aa943p+0",
+    0.3: "-0x1.0c7e39582c5fbp-1",
+    0.500000001: "0x1.588223b049edfp-29",
+    0.95: "0x1.a515209676abbp+0",
+    0.975: "0x1.f5c0331eeff83p+0",
+    0.995: "0x1.49b4c64d69160p+1",
+    1 - 2.8e-14: "0x1.e11a0e1ca01d4p+2",
+}
+
+
 class TestNormQuantile:
+    @pytest.mark.parametrize("p", sorted(QUANTILES))
+    def test_within_four_ulps_of_correctly_rounded(self, p):
+        exact = float.fromhex(QUANTILES[p])
+        assert abs(norm_quantile(p) - exact) <= 4 * math.ulp(exact)
+
     def test_against_bisection_oracle(self):
         for p in (1e-9, 1e-6, 1e-4, 0.02, 0.2, 0.5, 0.7, 0.975, 0.995, 1 - 1e-6):
             assert abs(norm_quantile(p) - _quantile_by_bisection(p)) < 1e-9
@@ -289,6 +310,22 @@ class TestIntervals:
 
     def test_wald_alpha_one_degenerates(self):
         assert wald_ci(1.5, 4.0, 10, alpha=1.0) == (1.5, 1.5)
+
+    def test_alpha_one_gives_zero_width_in_every_interval(self):
+        d = dataset_from(t=[1, 1, 0, 0], y=[1.0, 0.0, 1.0, 0.0])
+        assert log_delta_ci(1.5, 4.0, 10, alpha=1.0) == (1.5, 1.5)
+        assert katz_ci(d, alpha=1.0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, 3.0])
+    def test_alpha_outside_unit_interval_errors_naming_alpha(self, alpha):
+        d = dataset_from(t=[1, 1, 0, 0], y=[1.0, 0.0, 1.0, 0.0])
+        for interval in (
+            lambda: wald_ci(1.5, 4.0, 10, alpha=alpha),
+            lambda: log_delta_ci(1.5, 4.0, 10, alpha=alpha),
+            lambda: katz_ci(d, alpha=alpha),
+        ):
+            with pytest.raises(ValidationError, match=r"alpha must lie in \(0, 1\]"):
+                interval()
 
     def test_log_delta_zero_variance(self):
         assert log_delta_ci(2.0, 0.0, 50) == (2.0, 2.0)
