@@ -26,6 +26,21 @@ the three outcome-only covariates last; only the first three enter the
 propensity.  Draw order per kind is fixed: covariates from stream 0 of the
 spec seed, treatment uniforms from stream 1, control noise from stream 2,
 treated noise from stream 3, so identical specs give identical samples.
+
+Row ``i`` of an ``n``-row covariate sample reads fixed counters of stream 0,
+so any block of two or more rows can be drawn on its own with the same bits
+(numpy multiplies a single row through a vector product that rounds
+differently):
+
+* normal and uniform designs: counters ``6i .. 6i+5``, one per column (the
+  normals pair counters ``6i+2j`` and ``6i+2j+1`` by Box-Muller);
+* ``lunceford``: ``X3`` from counter ``i``, the Gaussian block
+  ``(X1, V1, X2, V2)`` from the normals at counters ``n+4i .. n+4i+3``, and
+  ``V3`` from counter ``5n+i``.
+
+This layout is the reproducibility contract that :func:`generate` and
+:func:`true_rr` share: ``generate`` draws rows ``0:n`` in one call, and the
+truth oracle fills its sample in blocks of ``_TRUTH_BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -58,6 +73,8 @@ _STREAM_COVARIATES = 0
 _STREAM_TREATMENT = 1
 _STREAM_NOISE_0 = 2
 _STREAM_NOISE_1 = 3
+
+_TRUTH_BLOCK_ROWS = 2**14  # covariate rows the truth oracle holds at once
 
 # linear_rct arm coefficients (intercepts 6 and 12, so the true RR is 2)
 _LIN_C0, _LIN_C1 = 6.0, 12.0
@@ -115,16 +132,23 @@ class TrueRR:
     mc_se: float | None = None
 
 
-def _draw_covariates(kind: str, n: int, rng: CounterRng) -> np.ndarray:
+def _draw_covariates(kind: str, seed: int, n: int, a: int, b: int) -> np.ndarray:
+    """Rows ``a:b`` of the ``n``-row covariate sample of ``seed``."""
+    s = derive_seed(seed, _STREAM_COVARIATES)
+    rows = b - a
     if kind in ("linear_rct", "wager_nl_logistic"):
-        return rng.normals(6 * n).reshape(n, 6)
+        rng = CounterRng(s, start=N_COVARIATES * a)
+        return rng.normals(N_COVARIATES * rows).reshape(rows, N_COVARIATES)
     if kind in ("nonlinear_rct", "wager_nl_nonlogistic"):
-        return rng.uniforms(6 * n).reshape(n, 6)
+        rng = CounterRng(s, start=N_COVARIATES * a)
+        return rng.uniforms(N_COVARIATES * rows).reshape(rows, N_COVARIATES)
     # lunceford: X3, then the 4-d Gaussian block (X1, V1, X2, V2), then V3
-    x3 = (rng.uniforms(n) < 0.2).astype(float)
-    z = rng.normals(4 * n).reshape(n, 4) @ _LUN_CHOL.T
+    x3 = (CounterRng(s, start=a).uniforms(rows) < 0.2).astype(float)
+    z = CounterRng(s, start=n + 4 * a).normals(4 * rows).reshape(rows, 4) @ _LUN_CHOL.T
     block = z + np.where(x3[:, None] == 1.0, _LUN_MEAN1, -_LUN_MEAN1)
-    v3 = (rng.uniforms(n) < (0.75 * x3 + 0.25 * (1.0 - x3))).astype(float)
+    v3 = (
+        CounterRng(s, start=5 * n + a).uniforms(rows) < (0.75 * x3 + 0.25 * (1.0 - x3))
+    ).astype(float)
     return np.column_stack([block[:, 0], block[:, 2], x3, block[:, 1], block[:, 3], v3])
 
 
@@ -178,7 +202,7 @@ def _propensity(kind: str, x: np.ndarray) -> np.ndarray:
 
 def generate(spec: DGPSpec) -> GeneratedSample:
     """Draw one sample; identical specs give bit-identical samples."""
-    x = _draw_covariates(spec.kind, spec.n, CounterRng(derive_seed(spec.seed, _STREAM_COVARIATES)))
+    x = _draw_covariates(spec.kind, spec.seed, spec.n, 0, spec.n)
     b = _baseline(spec.kind, x)
     m = _effect(spec.kind, x)
     e = _propensity(spec.kind, x)
@@ -193,11 +217,26 @@ def generate(spec: DGPSpec) -> GeneratedSample:
     return GeneratedSample(dataset=dataset, y0=y0, y1=y1, e_true=e, mu0_true=b, mu1_true=mu1)
 
 
+def _truth_blocks(mc_draws: int) -> list[tuple[int, int]]:
+    """Row ranges of ``_TRUTH_BLOCK_ROWS`` rows covering the oracle sample.
+
+    numpy multiplies a one-row block by a vector product that rounds
+    differently from the matrix product of longer blocks, so a last lone
+    row joins the block before it.
+    """
+    edges = [*range(0, mc_draws - 1, _TRUTH_BLOCK_ROWS), mc_draws]
+    return list(zip(edges, edges[1:]))
+
+
 def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
     """True risk ratio: closed form where available, else a Monte-Carlo oracle.
 
     The oracle draws covariates only (noise cancels in both means) and
-    reports the delta-method standard error of the estimated ratio.
+    reports the delta-method standard error of the estimated ratio.  It
+    draws them in blocks of ``_TRUTH_BLOCK_ROWS`` rows, keeping only the
+    effect and baseline vectors of the whole sample, so memory stays near
+    32 bytes per draw; the result equals that of one ``mc_draws``-row
+    sample bit for bit.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown DGP kind {kind!r}")
@@ -206,10 +245,12 @@ def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
         return TrueRR(value=_LIN_C1 / _LIN_C0, provenance="closed_form")
     if mc_draws < 10**5:
         raise ValidationError("Monte-Carlo oracle needs at least 1e5 draws")
-    rng = CounterRng(derive_seed(seed, _STREAM_COVARIATES))
-    x = _draw_covariates(kind, mc_draws, rng)
-    m = _effect(kind, x)
-    b = _baseline(kind, x)
+    m = np.empty(mc_draws)
+    b = np.empty(mc_draws)
+    for lo, hi in _truth_blocks(mc_draws):
+        x = _draw_covariates(kind, seed, mc_draws, lo, hi)
+        m[lo:hi] = _effect(kind, x)
+        b[lo:hi] = _baseline(kind, x)
     m_bar = float(m.mean())
     b_bar = float(b.mean())
     value = m_bar / b_bar + 1.0

@@ -223,6 +223,12 @@ def check_ci_style(ci_style: str) -> None:
         )
 
 
+def check_alpha(alpha: float) -> None:
+    """An interval's miscoverage level lies in (0, 1); ``_z`` alone also takes 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def katz_ci(d: ObservationalDataset, alpha: float = 0.05) -> tuple[float, float]:
     """Event-count interval for binary outcomes.
 
@@ -280,8 +286,7 @@ def attach_interval(
     Degenerate points get no variance or interval.  A (numerically) tiny
     negative variance is clamped to zero and flagged.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     check_ci_style(ci_style)
     if point.degenerate:
         return RREstimate(point, None, None, None, alpha, ci_style, n)

@@ -48,6 +48,7 @@ from .estimators import (
 from .inference import (
     RREstimate,
     attach_interval,
+    check_alpha,
     check_ci_style,
     var_g,
     var_ht,
@@ -131,8 +132,7 @@ class EstimatorConfig:
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
         check_ci_style(self.ci_style)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if not 0.0 < self.eta <= 0.5:
             raise ValidationError("eta must lie in (0, 1/2]")
 

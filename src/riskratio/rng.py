@@ -78,11 +78,19 @@ def uniforms_at(seeds: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
 
 class CounterRng:
-    """Stateful cursor over the counter-based stream for one seed."""
+    """Stateful cursor over the counter-based stream for one seed.
 
-    def __init__(self, seed: int):
+    The cursor starts at counter ``start``, so any stretch of a stream can
+    be read on its own: ``CounterRng(s, start=k).uniforms(m)`` equals
+    ``CounterRng(s).uniforms(k + m)[k:]``, and the same holds for
+    ``normals`` at even ``k``.
+    """
+
+    def __init__(self, seed: int, start: int = 0):
+        if start < 0:
+            raise ValueError(f"CounterRng start must be non-negative, got {start}")
         self._seed = _U64(seed & _MASK)
-        self._pos = 0
+        self._pos = start
 
     @property
     def seed(self) -> int:
@@ -90,7 +98,7 @@ class CounterRng:
 
     def _raw(self, n: int) -> np.ndarray:
         # idx dies on return, before uniforms() shifts the draws: one array
-        # fewer at the peak of a large call (48 MB for true_rr's 6e6 draws)
+        # fewer at the peak of a large call
         idx = np.arange(self._pos, self._pos + n, dtype=np.uint64)
         self._pos += n
         return _draws(self._seed, idx)

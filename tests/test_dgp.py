@@ -1,7 +1,10 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from truth_oracle import _draw_covariates as one_shot_covariates
+from truth_oracle import true_rr_oracle
 
 from riskratio import (
     DGPSpec,
@@ -13,7 +16,18 @@ from riskratio import (
     softplus_mean_quadrature,
     true_rr,
 )
-from riskratio.dgp import KINDS
+from riskratio.dgp import (
+    _STREAM_COVARIATES,
+    _TRUTH_BLOCK_ROWS,
+    KINDS,
+    _baseline,
+    _draw_covariates,
+    _effect,
+    _truth_blocks,
+)
+from riskratio.rng import CounterRng, derive_seed
+
+MC_KINDS = [k for k in KINDS if k != "linear_rct"]  # the designs with a Monte-Carlo truth
 
 LUNCEFORD_MEAN_COVARIATES = np.array([-0.6, 0.6, 0.2, -0.6, 0.6, 0.35])
 LUNCEFORD_BASELINE_COEF = np.array([-1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
@@ -133,6 +147,72 @@ class TestTrueRR:
     def test_draw_floor_enforced(self):
         with pytest.raises(ValidationError):
             true_rr("lunceford", mc_draws=10**4)
+
+    # draw counts whose last block is short, one row short of full, or a lone row
+    # that joins the block before it
+    @pytest.mark.parametrize(
+        "mc_draws, seed",
+        [
+            (10**5, 0),
+            (10**5 + 3, 11),
+            (7 * _TRUTH_BLOCK_ROWS - 1, 3),
+            (7 * _TRUTH_BLOCK_ROWS + 1, 12),
+            (10**6, 7),
+        ],
+    )
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    def test_blocked_oracle_matches_one_shot_oracle(self, kind, mc_draws, seed):
+        got = true_rr(kind, mc_draws=mc_draws, seed=seed)
+        want = true_rr_oracle(kind, mc_draws=mc_draws, seed=seed)
+        assert got.value.hex() == want.value.hex()
+        assert got.mc_se.hex() == want.mc_se.hex()
+        assert got == want
+
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    def test_oracle_memory_is_bounded_per_draw(self, kind):
+        # the one-shot oracle peaked at 128-168 bytes per draw
+        mc_draws = 10**6
+        tracemalloc.start()
+        try:
+            true_rr(kind, mc_draws=mc_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * mc_draws
+
+
+class TestCovariateLayout:
+    @pytest.mark.parametrize("n", [3 * _TRUTH_BLOCK_ROWS - 1, 3 * _TRUTH_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_row_blocks_rebuild_the_one_shot_sample(self, kind, n):
+        seed = 5
+        want = one_shot_covariates(kind, n, CounterRng(derive_seed(seed, _STREAM_COVARIATES)))
+        assert np.array_equal(_draw_covariates(kind, seed, n, 0, n), want)
+        blocks = [_draw_covariates(kind, seed, n, a, b) for a, b in _truth_blocks(n)]
+        assert min(len(x) for x in blocks) >= 2
+        assert np.array_equal(np.vstack(blocks), want)
+        for surface in (_effect, _baseline):
+            by_block = np.concatenate([surface(kind, x) for x in blocks])
+            assert np.array_equal(by_block, surface(kind, want))
+
+    @pytest.mark.parametrize("n", [2, 3, _TRUTH_BLOCK_ROWS + 1, 7 * _TRUTH_BLOCK_ROWS, 10**6])
+    def test_truth_blocks_tile_the_sample_without_lone_rows(self, n):
+        blocks = _truth_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(2 <= hi - lo <= _TRUTH_BLOCK_ROWS + 1 for lo, hi in blocks)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_any_range_of_two_or_more_rows_reads_its_own_rows(self, kind):
+        n, seed = 40, 9
+        full = _draw_covariates(kind, seed, n, 0, n)
+        for a, b in [(0, 2), (7, 9), (38, 40), (3, 30), (0, 40)]:
+            assert np.array_equal(_draw_covariates(kind, seed, n, a, b), full[a:b])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_generate_draws_rows_zero_to_n(self, kind):
+        spec = DGPSpec(kind, n=50, seed=4)
+        assert np.array_equal(generate(spec).dataset.x, _draw_covariates(kind, 4, 50, 0, 50))
 
 
 class TestOracleModels:

@@ -9,7 +9,9 @@ from helpers import random_dataset
 from riskratio import (
     EstimatorConfig,
     ExperimentPlan,
+    RRPoint,
     ValidationError,
+    attach_interval,
     compare_estimators,
     katz_ci,
     run_experiment,
@@ -188,6 +190,15 @@ class TestPlanValidation:
         cfg = EstimatorConfig(**{"method": "neyman", **overrides})
         with pytest.raises(ValidationError, match=message):
             cfg.validate()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    def test_alpha_check_names_the_value_as_attach_interval_does(self, alpha):
+        with pytest.raises(ValidationError) as by_config:
+            EstimatorConfig(method="neyman", alpha=alpha).validate()
+        with pytest.raises(ValidationError) as by_interval:
+            attach_interval(RRPoint(2.0, "neyman"), 1.0, 10, alpha=alpha)
+        assert str(by_config.value) == str(by_interval.value)
+        assert str(by_config.value) == f"alpha must lie in (0, 1), got {alpha}"
 
     def test_unknown_method_is_validation_error(self):
         plan = small_plan(estimators=(EstimatorConfig(method="bogus"),))

@@ -28,6 +28,24 @@ def test_uniforms_at_reads_any_streams_at_any_counters():
         assert np.array_equal(row, stream[counters.astype(int)])
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 7, 1000])
+def test_uniforms_from_a_start_counter_continue_the_stream(start):
+    want = CounterRng(21).uniforms(start + 25)[start:]
+    assert np.array_equal(CounterRng(21, start=start).uniforms(25), want)
+
+
+@pytest.mark.parametrize("start", [0, 2, 6, 1000])
+def test_normals_from_an_even_start_counter_continue_the_stream(start):
+    for m in (24, 25):
+        want = CounterRng(21).normals(start + m)[start:]
+        assert np.array_equal(CounterRng(21, start=start).normals(m), want)
+
+
+def test_negative_start_rejected():
+    with pytest.raises(ValueError, match="start must be non-negative, got -1"):
+        CounterRng(21, start=-1)
+
+
 def test_normals_moments_and_determinism():
     z = CounterRng(1).normals(200_000)
     assert np.array_equal(z, CounterRng(1).normals(200_000))
