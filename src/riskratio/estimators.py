@@ -28,10 +28,11 @@ from .errors import EstimationError, ValidationError
 from .nuisance import (
     OutcomeModel,
     PropensityModel,
-    fit_forest_classifier,
-    fit_forest_regressor,
     fit_logistic_mle,
     fit_ols,
+    forest_classifier_fit,
+    forest_regressor_fit,
+    grow_forest_fits,
 )
 from .rng import CounterRng, derive_seed
 from .trees import ForestConfig
@@ -184,6 +185,33 @@ def make_folds(n: int, k: int, seed: int) -> FoldPartition:
     return FoldPartition(k=k, assignment=assignment, seed=seed)
 
 
+def _propensity(x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int):
+    """The recipe's propensity model on ``(x, t)``, or its :class:`~.nuisance.ForestFit`."""
+    if not isinstance(recipe.propensity, str):
+        return recipe.propensity
+    if recipe.propensity == "forest":
+        cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys))
+        return forest_classifier_fit(x, t, cfg, clip=recipe.clip)
+    return fit_logistic_mle(x, t, clip=recipe.clip)
+
+
+def _outcomes(x: np.ndarray, t: np.ndarray, y: np.ndarray, recipe: NuisanceRecipe, *keys: int):
+    """The recipe's ``[mu0, mu1]``, each forest as a :class:`~.nuisance.ForestFit`."""
+    if not isinstance(recipe.outcome, str):
+        return list(recipe.outcome)
+    fits = []
+    for arm in (0, 1):
+        rows = t == arm
+        if not rows.any():
+            raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
+        if recipe.outcome == "forest":
+            cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys, arm))
+            fits.append(forest_regressor_fit(x[rows], y[rows], cfg, arm=arm))
+        else:
+            fits.append(fit_ols(x[rows], y[rows], arm=arm))
+    return fits
+
+
 def fit_propensity(
     x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int
 ) -> PropensityModel:
@@ -192,12 +220,8 @@ def fit_propensity(
     A forest is seeded with ``derive_seed(recipe.forest.seed, *keys)``;
     cross-fitting passes the fold index as the key, a full-sample fit none.
     """
-    if not isinstance(recipe.propensity, str):
-        return recipe.propensity
-    if recipe.propensity == "forest":
-        cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys))
-        return fit_forest_classifier(x, t, cfg, clip=recipe.clip)
-    return fit_logistic_mle(x, t, clip=recipe.clip)
+    (model,) = grow_forest_fits([_propensity(x, t, recipe, *keys)])
+    return model
 
 
 def fit_outcomes(
@@ -206,21 +230,11 @@ def fit_outcomes(
     """Fit (or look up) the recipe's outcome surfaces ``(mu0, mu1)``.
 
     Each arm is fitted on its own rows; arm ``a``'s forest is seeded with
-    ``derive_seed(recipe.forest.seed, *keys, a)``.
+    ``derive_seed(recipe.forest.seed, *keys, a)``.  Two arm forests grow
+    together.
     """
-    if not isinstance(recipe.outcome, str):
-        return recipe.outcome
-    models = []
-    for arm in (0, 1):
-        rows = t == arm
-        if not rows.any():
-            raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
-        if recipe.outcome == "forest":
-            cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys, arm))
-            models.append(fit_forest_regressor(x[rows], y[rows], cfg, arm=arm))
-        else:
-            models.append(fit_ols(x[rows], y[rows], arm=arm))
-    return models[0], models[1]
+    mu0, mu1 = grow_forest_fits(_outcomes(x, t, y, recipe, *keys))
+    return mu0, mu1
 
 
 def _complements_ok(d: ObservationalDataset, folds: FoldPartition) -> bool:
@@ -238,7 +252,9 @@ def crossfit_nuisances(
     """Fit nuisances on each fold complement and score the held-out fold.
 
     If some fold complement lacks a treatment arm, the partition is redrawn
-    once with a seed derived from ``folds.seed`` before giving up.
+    once with a seed derived from ``folds.seed`` before giving up.  Every
+    fold is fitted before any is scored, and all the folds' forests grow
+    together.
     """
     if folds.assignment.shape[0] != d.n:
         raise ValidationError("fold assignment length does not match dataset")
@@ -247,15 +263,18 @@ def crossfit_nuisances(
             folds = make_folds(d.n, folds.k, derive_seed(folds.seed, 0xF01D))
         if not _complements_ok(d, folds):
             raise EstimationError("a fold complement has an empty treatment arm")
+    fits = []
+    for k in range(1, folds.k + 1):
+        train = folds.assignment != k
+        x_tr, t_tr = d.x[train], d.t[train]
+        fits += [_propensity(x_tr, t_tr, recipe, k), *_outcomes(x_tr, t_tr, d.y[train], recipe, k)]
+    models = grow_forest_fits(fits)
     e = np.empty(d.n)
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)
     for k in range(1, folds.k + 1):
         held = folds.assignment == k
-        train = ~held
-        x_tr, t_tr = d.x[train], d.t[train]
-        e_model = fit_propensity(x_tr, t_tr, recipe, k)
-        m0, m1 = fit_outcomes(x_tr, t_tr, d.y[train], recipe, k)
+        e_model, m0, m1 = models[3 * k - 3 : 3 * k]
         x_held = d.x[held]
         e[held] = e_model.predict(x_held)
         mu0[held] = m0.predict(x_held)

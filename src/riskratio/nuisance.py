@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,7 +47,14 @@ from .errors import (
     SeparationError,
     ValidationError,
 )
-from .trees import Forest, ForestConfig, fit_forest, forest_from_dict, forest_to_dict
+from .trees import (
+    Forest,
+    ForestConfig,
+    fit_forest,
+    fit_forests,
+    forest_from_dict,
+    forest_to_dict,
+)
 
 DEFAULT_CLIP = 0.01
 LOGISTIC_TOL = 1e-8
@@ -292,6 +300,59 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
     return OutcomeModel(Linear(float(coef[0]), coef[1:].copy()), arm=arm, n_features=p)
 
 
+@dataclass(frozen=True, eq=False)
+class ForestFit:
+    """A forest learner's checked inputs, not yet grown.
+
+    ``job`` is one ``(x, y, cfg, default_mtry)`` job of
+    :func:`~riskratio.trees.fit_forests`; ``model`` turns the forest grown
+    from it into the learner's model.
+    """
+
+    job: tuple[np.ndarray, np.ndarray, ForestConfig, int]
+    model: Callable[[Forest], PropensityModel | OutcomeModel]
+
+
+def forest_regressor_fit(
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: ForestConfig | None = None,
+    arm: int | None = None,
+) -> ForestFit:
+    """The :class:`ForestFit` of :func:`fit_forest_regressor`."""
+    x = np.asarray(x, dtype=float)
+    cfg = cfg if cfg is not None else ForestConfig()
+    job = (x, y, cfg, math.ceil(x.shape[1] / 3))
+    return ForestFit(job, partial(OutcomeModel, arm=arm, n_features=x.shape[1]))
+
+
+def forest_classifier_fit(
+    x: np.ndarray,
+    t: np.ndarray,
+    cfg: ForestConfig | None = None,
+    clip: float = DEFAULT_CLIP,
+) -> ForestFit:
+    """The :class:`ForestFit` of :func:`fit_forest_classifier`."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not np.isin(t, (0.0, 1.0)).all():
+        raise ValidationError("classification labels must lie in {0, 1}")
+    cfg = cfg if cfg is not None else ForestConfig()
+    job = (x, t, cfg, math.ceil(math.sqrt(x.shape[1])))
+    return ForestFit(job, partial(PropensityModel, clip=clip, n_features=x.shape[1]))
+
+
+def grow_forest_fits(fits: list) -> list:
+    """``fits`` with each :class:`ForestFit` replaced by its model.
+
+    All their forests grow in one :func:`~riskratio.trees.fit_forests`
+    call; any other item is a model already and is passed through.
+    """
+    pending = [f for f in fits if isinstance(f, ForestFit)]
+    forests = iter(fit_forests([f.job for f in pending]))
+    return [f.model(next(forests)) if isinstance(f, ForestFit) else f for f in fits]
+
+
 def fit_forest_regressor(
     x: np.ndarray,
     y: np.ndarray,
@@ -299,10 +360,8 @@ def fit_forest_regressor(
     arm: int | None = None,
 ) -> OutcomeModel:
     """Bagged CART regression forest; default mtry is ceil(p/3)."""
-    x = np.asarray(x, dtype=float)
-    cfg = cfg if cfg is not None else ForestConfig()
-    forest = fit_forest(x, y, cfg, default_mtry=math.ceil(x.shape[1] / 3))
-    return OutcomeModel(forest, arm=arm, n_features=x.shape[1])
+    fit = forest_regressor_fit(x, y, cfg, arm)
+    return fit.model(fit_forest(*fit.job))
 
 
 def fit_forest_classifier(
@@ -315,13 +374,8 @@ def fit_forest_classifier(
 
     Default mtry is ceil(sqrt(p)); outputs are clipped like any propensity.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not np.isin(t, (0.0, 1.0)).all():
-        raise ValidationError("classification labels must lie in {0, 1}")
-    cfg = cfg if cfg is not None else ForestConfig()
-    forest = fit_forest(x, t, cfg, default_mtry=math.ceil(math.sqrt(x.shape[1])))
-    return PropensityModel(forest, clip=clip, n_features=x.shape[1])
+    fit = forest_classifier_fit(x, t, cfg, clip)
+    return fit.model(fit_forest(*fit.job))
 
 
 def model_to_json(model: PropensityModel | OutcomeModel) -> str:

@@ -7,6 +7,7 @@ from helpers import dataset_from, random_dataset
 from riskratio import (
     ArmFunctionals,
     EstimationError,
+    ForestConfig,
     NuisanceRecipe,
     ValidationError,
     arm_functionals,
@@ -21,8 +22,9 @@ from riskratio import (
     rr_neyman,
     rr_os,
 )
+from riskratio import trees
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
-from riskratio.estimators import FoldPartition, fit_outcomes
+from riskratio.estimators import FoldPartition, fit_outcomes, fit_propensity
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0  # closed form of the mixture design
 
@@ -226,6 +228,55 @@ class TestCrossfit:
         folds = FoldPartition(k=2, assignment=np.array([1, 1, 2, 2]), seed=None)
         with pytest.raises(EstimationError):
             crossfit_nuisances(d, folds, recipe)
+
+
+def _per_fold_nuisances(d, folds, recipe):
+    """Out-of-fold e, mu0, mu1 from one fold at a time, fitted and scored in turn."""
+    e, mu0, mu1 = np.empty(d.n), np.empty(d.n), np.empty(d.n)
+    for k in range(1, folds.k + 1):
+        held = folds.assignment == k
+        train = ~held
+        e_model = fit_propensity(d.x[train], d.t[train], recipe, k)
+        m0, m1 = fit_outcomes(d.x[train], d.t[train], d.y[train], recipe, k)
+        e[held] = e_model.predict(d.x[held])
+        mu0[held] = m0.predict(d.x[held])
+        mu1[held] = m1.predict(d.x[held])
+    return e, mu0, mu1
+
+
+@pytest.mark.parametrize(
+    "k, propensity, outcome",
+    [(2, "forest", "forest"), (5, "forest", "forest"), (2, "forest", "ols")],
+)
+def test_crossfit_forests_grown_together_equal_per_fold_fits(k, propensity, outcome):
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=150, seed=27)).dataset
+    recipe = NuisanceRecipe(propensity, outcome, forest=ForestConfig(n_trees=8, seed=28))
+    folds = make_folds(150, k, seed=29)
+    scores = crossfit_nuisances(d, folds, recipe)
+    assert scores.folds is folds  # not redrawn, so both sides use the same folds
+    expected = _per_fold_nuisances(d, folds, recipe)
+    for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_crossfit_rejects_a_small_arm_before_growing_any_forest(monkeypatch):
+    # 6 treated of 40: a fold complement keeps at most 5 treated rows, under
+    # 2 * min_leaf = 10, while every propensity forest gets 20 rows
+    t = np.zeros(40, dtype=int)
+    t[::7] = 1
+    d = dataset_from(t=t, y=np.linspace(1.0, 2.0, 40))
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=3, min_leaf=5, seed=1))
+    folds = make_folds(40, 2, seed=0)
+    with pytest.raises(ValidationError) as per_fold:
+        _per_fold_nuisances(d, folds, recipe)
+    grown = []
+    monkeypatch.setattr(trees, "_grow_forest", lambda *args: grown.append(args))
+    with pytest.raises(ValidationError) as together:
+        crossfit_nuisances(d, folds, recipe)
+    assert type(together.value) is type(per_fold.value)
+    assert str(together.value) == str(per_fold.value)
+    assert "need at least 10 rows" in str(together.value)
+    assert grown == []
 
 
 def test_outcome_fit_needs_both_arms():

@@ -138,21 +138,24 @@ def test_non_finite_inputs_rejected(column, bad):
         fit_forest_regressor(x, y, ForestConfig(n_trees=3, seed=1))
 
 
+_X_VALUES = st.sampled_from([-1.5, 0.0, 0.25, 2.0, 3.0, 7.5])
+# sevenths are inexact, so summing them in another order moves bits
+_REAL_Y = st.one_of(st.integers(-700, 700).map(lambda v: v / 7.0), st.floats(-100.0, 100.0))
+_BINARY_Y = st.sampled_from([0.0, 1.0])
+
+
 @st.composite
 def forest_problems(draw):
     """Small problems with repeated x values and real, binary or constant y."""
     p = draw(st.integers(1, 4))
     min_leaf = draw(st.integers(1, 5))
     n = draw(st.integers(2 * min_leaf, 40))
-    x_values = st.sampled_from([-1.5, 0.0, 0.25, 2.0, 3.0, 7.5])
-    x = draw(arrays(np.float64, (n, p), elements=x_values))
+    x = draw(arrays(np.float64, (n, p), elements=_X_VALUES))
     y_kind = draw(st.sampled_from(["real", "binary", "constant"]))
     if y_kind == "real":
-        # sevenths are inexact, so summing them in another order moves bits
-        sevenths = st.integers(-700, 700).map(lambda v: v / 7.0)
-        y = draw(arrays(np.float64, n, elements=st.one_of(sevenths, st.floats(-100.0, 100.0))))
+        y = draw(arrays(np.float64, n, elements=_REAL_Y))
     elif y_kind == "binary":
-        y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+        y = draw(arrays(np.float64, n, elements=_BINARY_Y))
     else:
         y = np.full(n, draw(st.floats(-5.0, 5.0)))
     cfg = ForestConfig(
@@ -190,3 +193,74 @@ def test_any_block_budget_matches_oracle(monkeypatch, budget):
     oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
     assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
     assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
+
+
+def _assert_same_forest(forest, reference, x):
+    # JSON text also tells -0.0 from 0.0, which dict equality does not
+    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(reference))
+    assert forest.predict(x).tobytes() == predict_oracle(reference, x).tobytes()
+
+
+@st.composite
+def forest_batches(draw):
+    """2-4 jobs with their own row counts, mtry, seeds and targets (the first
+    with 0/1 labels), sharing p, min_leaf, max_depth and bootstrap, so that
+    fit_forests grows them in one batch."""
+    p = draw(st.integers(1, 4))
+    min_leaf = draw(st.integers(1, 5))
+    max_depth = draw(st.sampled_from([None, 0, 2]))
+    bootstrap = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(2 * min_leaf, 40), min_size=2, max_size=4, unique=True))
+    jobs = []
+    for i, n in enumerate(sizes):
+        x = draw(arrays(np.float64, (n, p), elements=_X_VALUES))
+        y = draw(arrays(np.float64, n, elements=_BINARY_Y if i == 0 else _REAL_Y))
+        cfg = ForestConfig(
+            n_trees=draw(st.integers(1, 5)),
+            max_depth=max_depth,
+            min_leaf=min_leaf,
+            mtry=draw(st.integers(1, p)),
+            bootstrap=bootstrap,
+            seed=draw(st.integers(0, 2**32)),
+        )
+        jobs.append((x, y, cfg, 1))
+    return jobs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_batches())
+def test_batched_growth_matches_per_node_oracle(jobs):
+    forests = trees.fit_forests(jobs)
+    assert len(forests) == len(jobs)
+    for (x, y, cfg, default_mtry), forest in zip(jobs, forests):
+        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+
+
+@pytest.mark.parametrize("cap", [1, 600, 1 << 20])
+def test_any_batch_cap_matches_oracle(monkeypatch, cap):
+    # jobs of 480, 360 and 240 row-buffer cells: each alone at cap 1, the
+    # last two together at 600, all three together at 2^20
+    monkeypatch.setattr(trees, "_BATCH_CELLS", cap)
+    g = np.random.default_rng(14)
+    jobs = []
+    for n, mtry, labels in [(120, 3, True), (90, 2, False), (60, 5, False)]:
+        x = np.round(g.normal(size=(n, 5)), 1)
+        y = (x[:, 0] > 0.0).astype(float) if labels else np.sin(x[:, 0]) + g.normal(size=n)
+        jobs.append((x, y, ForestConfig(n_trees=4, min_leaf=2, mtry=mtry, seed=n), 1))
+    for (x, y, cfg, default_mtry), forest in zip(jobs, trees.fit_forests(jobs)):
+        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+
+
+def test_stacked_rows_past_uint16_ranks_match_forests_grown_alone():
+    # 2 x 33,000 stacked rows pass the 65,535 that a uint16 rank table
+    # holds, while each job alone stays below it; the targets step up among
+    # the largest x, whose ranks would wrap in a uint16 table of ranks taken
+    # over the stacked rows
+    g = np.random.default_rng(15)
+    cfgs = [ForestConfig(n_trees=1, max_depth=1, mtry=2, seed=s) for s in (16, 17)]
+    jobs = []
+    for cfg in cfgs:
+        x = g.normal(size=(33_000, 2))
+        jobs.append((x, (x[:, 0] > 2.0) + 0.1 * g.normal(size=33_000), cfg, 1))
+    for job, forest in zip(jobs, trees.fit_forests(jobs)):
+        _assert_same_forest(forest, fit_forest(*job), job[0])
