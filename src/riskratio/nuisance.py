@@ -54,6 +54,7 @@ from .trees import (
     fit_forests,
     forest_from_dict,
     forest_to_dict,
+    one_batch,
 )
 
 DEFAULT_CLIP = 0.01
@@ -108,6 +109,11 @@ _TARGET_KINDS = {
 }
 
 
+def _check_clip(clip: float) -> None:
+    if not 0.0 < clip <= 0.5:
+        raise ValidationError("clip must lie in (0, 1/2]")
+
+
 @dataclass(frozen=True, eq=False)
 class PropensityModel:
     """Treatment-probability surface whose predictions are clipped to ``[clip, 1 - clip]``."""
@@ -117,8 +123,7 @@ class PropensityModel:
     n_features: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.clip <= 0.5:
-            raise ValidationError("clip must lie in (0, 1/2]")
+        _check_clip(self.clip)
 
     @property
     def kind(self) -> str:
@@ -332,7 +337,11 @@ def forest_classifier_fit(
     cfg: ForestConfig | None = None,
     clip: float = DEFAULT_CLIP,
 ) -> ForestFit:
-    """The :class:`ForestFit` of :func:`fit_forest_classifier`."""
+    """The :class:`ForestFit` of :func:`fit_forest_classifier`.
+
+    ``clip`` is checked here, before any tree grows.
+    """
+    _check_clip(clip)
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     if not np.isin(t, (0.0, 1.0)).all():
@@ -351,6 +360,11 @@ def grow_forest_fits(fits: list) -> list:
     pending = [f for f in fits if isinstance(f, ForestFit)]
     forests = iter(fit_forests([f.job for f in pending]))
     return [f.model(next(forests)) if isinstance(f, ForestFit) else f for f in fits]
+
+
+def grown_in_one_batch(fits: list) -> bool:
+    """Whether :func:`grow_forest_fits` grows every forest of ``fits`` in one lockstep batch."""
+    return one_batch([f.job for f in fits if isinstance(f, ForestFit)])
 
 
 def fit_forest_regressor(

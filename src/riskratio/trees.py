@@ -44,7 +44,9 @@ memory and padding.  A batch takes consecutive jobs that share ``p``,
 ``min_leaf``, ``max_depth`` and ``bootstrap`` while its trees' row buffer
 holds at most ``_BATCH_CELLS`` cells; a job above that grows alone, as it
 would by itself.  A round costs a fixed overhead whatever its tree count,
-so growing the forests of a cross-fit in one batch saves time.
+so growing the forests of a cross-fit in one batch saves time;
+:func:`one_batch` tells a caller whether some jobs would share a batch,
+and the cross-fit uses it to grow and score its folds in runs that do.
 
 Two steps stay as they are.  Node values are summed segment by segment,
 because ``np.add.reduceat`` sums in another order than ``np.add.reduce``
@@ -182,6 +184,14 @@ def fit_forests(jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]]) ->
     return [
         Forest(list(islice(trees, cfg.n_trees)), cfg, x.shape[1]) for x, _, cfg, _ in checked
     ]
+
+
+def one_batch(jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]]) -> bool:
+    """Whether :func:`fit_forests` grows every tree of ``jobs`` in one lockstep batch.
+
+    True for no jobs or one; each job's ``x`` must be an array.
+    """
+    return sum(1 for _ in _batches(jobs)) <= 1
 
 
 def _checked(x, y, cfg, default_mtry):

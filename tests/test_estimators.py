@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from riskratio import (
 from riskratio import trees
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
 from riskratio.estimators import FoldPartition, fit_outcomes, fit_propensity
+from riskratio.nuisance import fit_forest_classifier, fit_forest_regressor
+from riskratio.rng import derive_seed
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0  # closed form of the mixture design
 
@@ -276,6 +281,88 @@ def test_crossfit_rejects_a_small_arm_before_growing_any_forest(monkeypatch):
     assert type(together.value) is type(per_fold.value)
     assert str(together.value) == str(per_fold.value)
     assert "need at least 10 rows" in str(together.value)
+    assert grown == []
+
+
+def _one_forest_at_a_time(d, folds, recipe):
+    """Out-of-fold e, mu0, mu1 with one fold's three forests grown apart, then scored."""
+    e, mu0, mu1 = np.empty(d.n), np.empty(d.n), np.empty(d.n)
+    for k in range(1, folds.k + 1):
+        held = folds.assignment == k
+        x, t, y = d.x[~held], d.t[~held], d.y[~held]
+
+        def cfg(*keys):
+            return replace(recipe.forest, seed=derive_seed(recipe.forest.seed, k, *keys))
+
+        e_model = fit_forest_classifier(x, t, cfg(), clip=recipe.clip)
+        m0, m1 = (fit_forest_regressor(x[t == a], y[t == a], cfg(a), arm=a) for a in (0, 1))
+        e[held] = e_model.predict(d.x[held])
+        mu0[held] = m0.predict(d.x[held])
+        mu1[held] = m1.predict(d.x[held])
+    return e, mu0, mu1
+
+
+# k=3 folds of 150 rows, 8 trees: a fold's forests hold 8 * (100 + 100)
+# row-buffer cells, 800 for the propensity and 800 for the two arms together
+@pytest.mark.parametrize(
+    "cap, fold_events",
+    [
+        (1, ["grow"] * 3 + ["predict"] * 3),  # every forest alone
+        (2000, ["grow"] + ["predict"] * 3),  # one fold per batch
+        (1 << 20, None),  # the whole cross-fit in one batch
+    ],
+)
+def test_crossfit_batches_whole_folds_and_scores_them_before_the_next(
+    monkeypatch, cap, fold_events
+):
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=150, seed=27)).dataset
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=8, seed=28))
+    folds = make_folds(150, 3, seed=29)
+    monkeypatch.setattr(trees, "_BATCH_CELLS", cap)
+    events = []
+    grow, predict = trees._grow_forest, trees.Forest.predict
+    monkeypatch.setattr(trees, "_grow_forest", lambda jobs: events.append("grow") or grow(jobs))
+    monkeypatch.setattr(
+        trees.Forest, "predict", lambda self, x: events.append("predict") or predict(self, x)
+    )
+    scores = crossfit_nuisances(d, folds, recipe)
+    assert events == (fold_events * 3 if fold_events else ["grow"] + ["predict"] * 9)
+    expected = _one_forest_at_a_time(d, folds, recipe)
+    for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(fit):
+    tracemalloc.start()
+    try:
+        fit()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_crossfit_past_the_batch_cap_peaks_like_one_forest_at_a_time(monkeypatch):
+    # with the cap under one forest's cells, every forest grows alone, as on
+    # a large sample; the cross-fit must then hold one fold's forests at a
+    # time, not all 15
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=200, seed=3)).dataset
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=10, seed=4))
+    folds = make_folds(200, 5, seed=5)
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 300)
+    one_at_a_time = _traced_peak(lambda: _one_forest_at_a_time(d, folds, recipe))
+    crossfit = _traced_peak(lambda: crossfit_nuisances(d, folds, recipe))
+    assert crossfit <= 1.25 * one_at_a_time
+
+
+def test_forest_propensity_rejects_its_clip_before_growing_any_forest(monkeypatch):
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=100, seed=3)).dataset
+    recipe = NuisanceRecipe("forest", "forest", clip=0.7, forest=ForestConfig(n_trees=3))
+    grown = []
+    monkeypatch.setattr(trees, "_grow_forest", lambda *args: grown.append(args))
+    with pytest.raises(ValidationError, match=r"clip must lie in \(0, 1/2\]"):
+        crossfit_nuisances(d, make_folds(100, 2, seed=0), recipe)
+    with pytest.raises(ValidationError, match="clip must lie"):
+        fit_forest_classifier(d.x, d.t, clip=0.0)
     assert grown == []
 
 
