@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+_WRITE_BLOCK_ROWS = 1 << 12  # rows that write_csv and export_sample format at once
+
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -229,11 +231,17 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
 
 
 def write_csv(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
-    """Write ``d`` to ``path``; floats use shortest round-trip formatting."""
+    """Write ``d`` to ``path``; floats use shortest round-trip formatting.
+
+    Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS`` (4096) rows, so
+    memory stays bounded whatever ``n``.  Each row is ``repr(y),t,repr(x1),...``
+    ended by ``\\r\\n``: the bytes ``csv.writer`` writes for it, since the
+    repr of a float or an int holds no comma, quote or line break.
+    """
+    row = ",".join(["%r", "%d"] + ["%r"] * d.p) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(d.p, schema))
-        writer.writerows(
-            [repr(y), t, *map(repr, x)]
-            for y, t, x in zip(d.y.tolist(), d.t.tolist(), d.x.tolist())
-        )
+        csv.writer(fh).writerow(_expected_header(d.p, schema))
+        for lo in range(0, d.n, _WRITE_BLOCK_ROWS):
+            hi = lo + _WRITE_BLOCK_ROWS
+            cells = zip(d.y[lo:hi].tolist(), d.t[lo:hi].tolist(), *d.x[lo:hi].T.tolist())
+            fh.writelines(map(row.__mod__, cells))

@@ -332,17 +332,27 @@ def _node_values(ye, buf, base, m):
 
     Node ``i`` holds the rows ``buf[base[i] : base[i] + m[i]]``; its value
     is the mean of their targets, summed in that order by ``np.add.reduce``.
-    The gather index is built in place and dies on return, since a batch's
-    first round reads every cell of the buffer.
+    Targets are gathered for runs of consecutive nodes of at most
+    ``_CELL_BUDGET`` rows (a larger node alone), so a batch's first round,
+    which reads every cell of the buffer, holds one run at a time.
     """
-    offs = np.cumsum(m) - m
-    at = np.repeat(base - offs, m)
-    at += np.arange(at.size)
-    at = buf[at]
-    ys = ye[at]
-    value = [float(np.add.reduce(ys[o : o + size])) / size
-             for o, size in zip(offs.tolist(), m.tolist())]
-    return np.array(value), np.minimum.reduceat(ys, offs) < np.maximum.reduceat(ys, offs)
+    value = np.empty(m.size)
+    varies = np.empty(m.size, dtype=bool)
+    ends = np.cumsum(m)
+    a = 0
+    while a < m.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + _CELL_BUDGET, side="right")))
+        size = m[a:b]
+        offs = np.cumsum(size) - size
+        at = np.repeat(base[a:b] - offs, size)
+        at += np.arange(at.size)
+        ys = ye[buf[at]]
+        value[a:b] = [
+            float(np.add.reduce(ys[o : o + k])) / k for o, k in zip(offs.tolist(), size.tolist())
+        ]
+        varies[a:b] = np.minimum.reduceat(ys, offs) < np.maximum.reduceat(ys, offs)
+        a = b
+    return value, varies
 
 
 def _assemble(n_nodes, rounds):

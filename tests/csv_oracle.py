@@ -1,9 +1,15 @@
-"""Reference specification of CSV ingestion: the row-by-row parser.
+"""Reference specifications of CSV ingestion and export.
 
-This is ``riskratio.data.load_csv`` as it was before the data rows were
-parsed by one ``np.loadtxt`` call, kept verbatim as a test oracle.  The
-current ``load_csv`` must accept exactly the files this accepts, with equal
-arrays, and reject exactly the files this rejects, with the same message.
+``load_csv_oracle`` is ``riskratio.data.load_csv`` as it was before the data
+rows were parsed by one ``np.loadtxt`` call, kept verbatim as a test oracle.
+The current ``load_csv`` must accept exactly the files this accepts, with
+equal arrays, and reject exactly the files this rejects, with the same
+message.
+
+``write_csv_oracle`` is ``riskratio.data.write_csv`` as it was before rows
+were formatted in blocks: one ``csv.writer`` row per observation, from
+``tolist()`` of the whole arrays.  The current ``write_csv`` must write the
+same bytes.
 """
 
 import csv
@@ -68,3 +74,14 @@ def load_csv_oracle(path, schema: CsvSchema = CsvSchema()) -> ObservationalDatas
         raise ValidationError(f"{path}: no data rows")
     x = np.asarray(x_rows, dtype=np.float64).reshape(len(y_rows), p)
     return ObservationalDataset(x=x, t=np.asarray(t_rows), y=np.asarray(y_rows))
+
+
+def write_csv_oracle(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
+    """Write ``d`` to ``path``; floats use shortest round-trip formatting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_expected_header(d.p, schema))
+        writer.writerows(
+            [repr(y), t, *map(repr, x)]
+            for y, t, x in zip(d.y.tolist(), d.t.tolist(), d.x.tolist())
+        )

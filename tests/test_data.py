@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csv_oracle import load_csv_oracle
+from csv_oracle import load_csv_oracle, write_csv_oracle
 from helpers import random_dataset
 from riskratio import ObservationalDataset, ValidationError, load_csv, summarize, write_csv
+from riskratio.data import _WRITE_BLOCK_ROWS
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -181,6 +183,45 @@ def test_written_files_take_the_loadtxt_path(tmp_path, monkeypatch):
         back = load_csv(path)
         assert np.array_equal(back.x, d.x) and np.array_equal(back.y, d.y)
     assert taken == [True, True]
+
+
+# values whose shortest repr takes each of its forms: signed zero, the
+# smallest subnormal, exponent notation at both ends, and integer-valued floats
+_EDGE_VALUES = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1, 3.0, -7.0, 0.0])
+
+
+def _edge_dataset(n, p):
+    """``n`` rows of ``p`` covariates; every other cell cycles through the edge values."""
+    g = np.random.default_rng(n * 10 + p)
+    cells = g.normal(size=(n, p + 1)) * 10.0 ** g.integers(-8, 17, size=(n, p + 1))
+    every_other = cells.ravel()[::2]  # a view, since cells is contiguous
+    every_other[:] = np.resize(_EDGE_VALUES, every_other.size)
+    return ObservationalDataset(x=cells[:, 1:], t=g.integers(0, 2, size=n), y=cells[:, 0])
+
+
+@pytest.mark.parametrize("p", [1, 6])
+@pytest.mark.parametrize(
+    "n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 1]
+)
+def test_write_csv_writes_the_bytes_of_one_csv_writer_row_per_observation(tmp_path, n, p):
+    d = _edge_dataset(n, p)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(d, got)
+    write_csv_oracle(d, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # formatting the whole sample at once peaked at 26 MiB here, row blocks
+    # at 0.5 MiB (p = 1 keeps the traced run short)
+    d = random_dataset(9, n=200_000, p=1)
+    tracemalloc.start()
+    try:
+        write_csv(d, tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # cells that are valid numbers as float() reads them

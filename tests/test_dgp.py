@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 
@@ -16,6 +17,7 @@ from riskratio import (
     softplus_mean_quadrature,
     true_rr,
 )
+from riskratio.data import _WRITE_BLOCK_ROWS
 from riskratio.dgp import (
     _STREAM_COVARIATES,
     _TRUTH_BLOCK_ROWS,
@@ -170,7 +172,8 @@ class TestTrueRR:
 
     @pytest.mark.parametrize("kind", MC_KINDS)
     def test_oracle_memory_is_bounded_per_draw(self, kind):
-        # the one-shot oracle peaked at 128-168 bytes per draw
+        # the one-shot oracle peaked at 128-168 bytes per draw, the blocked
+        # one at 32 while it formed the influence values in a new array
         mc_draws = 10**6
         tracemalloc.start()
         try:
@@ -178,7 +181,7 @@ class TestTrueRR:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48 * mc_draws
+        assert peak <= 24 * mc_draws
 
 
 class TestCovariateLayout:
@@ -251,9 +254,19 @@ class TestExport:
         back = load_csv(csv_path)
         assert np.array_equal(back.y, s.dataset.y)
         assert np.array_equal(back.x, s.dataset.x)
-        import json
-
         sidecar = json.loads(open(sidecar_path, encoding="utf-8").read())
         assert np.allclose(sidecar["y0"], s.y0)
         assert np.allclose(sidecar["e_true"], s.e_true)
         assert set(sidecar) == {"y0", "y1", "e_true", "mu0_true", "mu1_true"}
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 1],
+    )
+    def test_sidecar_is_the_json_dump_of_five_whole_lists(self, tmp_path, n):
+        s = generate(DGPSpec(kind="wager_nl_logistic", n=n, seed=n))
+        _, sidecar_path = export_sample(s, tmp_path)
+        keys = ("y0", "y1", "e_true", "mu0_true", "mu1_true")
+        want = json.dumps({key: getattr(s, key).tolist() for key in keys})
+        with open(sidecar_path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
