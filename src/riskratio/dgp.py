@@ -40,15 +40,21 @@ differently):
 
 This layout is the reproducibility contract that :func:`generate` and
 :func:`true_rr` share: ``generate`` draws rows ``0:n`` in one call, and the
-truth oracle fills its sample in blocks of ``_TRUTH_BLOCK_ROWS`` rows.
+truth oracle draws its sample one leaf of numpy's pairwise-sum tree at a
+time, at most ``_TRUTH_BLOCK_ROWS`` rows, so it holds one block of memory
+whatever the draw count.  Its ``value`` has the bits of one draw of the
+whole sample; its ``mc_se`` merges per-leaf co-moments and may differ from
+the whole-sample ``np.std`` form in the last bits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +80,12 @@ _STREAM_TREATMENT = 1
 _STREAM_NOISE_0 = 2
 _STREAM_NOISE_1 = 3
 
-_TRUTH_BLOCK_ROWS = 2**14  # covariate rows the truth oracle holds at once
+# most covariate rows the truth oracle holds at once.  At least 128, the longest
+# range numpy sums without splitting, so that every leaf is a subtree of its
+# sum.  At 2^11 rows every temporary of a leaf stays under glibc malloc's
+# 128 KiB mmap threshold and reuses heap memory; with 2^14-row leaves each leaf
+# faulted its temporaries in afresh (52k page faults, +0.1 s per 10^6 draws)
+_TRUTH_BLOCK_ROWS = 2**11
 
 # linear_rct arm coefficients (intercepts 6 and 12, so the true RR is 2)
 _LIN_C0, _LIN_C1 = 6.0, 12.0
@@ -129,6 +140,9 @@ class TrueRR:
     value: float
     provenance: str  # closed_form | mc_oracle
     mc_draws: int | None = None
+    # delta-method standard error of an mc_oracle value: the root mean square
+    # of the centred influence values m - (mean(m) / mean(b)) b, over
+    # |mean(b)| sqrt(mc_draws)
     mc_se: float | None = None
 
 
@@ -217,15 +231,79 @@ def generate(spec: DGPSpec) -> GeneratedSample:
     return GeneratedSample(dataset=dataset, y0=y0, y1=y1, e_true=e, mu0_true=b, mu1_true=mu1)
 
 
-def _truth_blocks(mc_draws: int) -> list[tuple[int, int]]:
-    """Row ranges of ``_TRUTH_BLOCK_ROWS`` rows covering the oracle sample.
+class _Moments(NamedTuple):
+    """Effect and baseline sums over a row range, with centred co-moment sums."""
 
-    numpy multiplies a one-row block by a vector product that rounds
-    differently from the matrix product of longer blocks, so a last lone
-    row joins the block before it.
+    rows: int
+    sum_m: float
+    sum_b: float
+    c_mm: float
+    c_bb: float
+    c_mb: float
+
+
+def _moments(m: np.ndarray, b: np.ndarray) -> _Moments:
+    """Moments of one range's effect values ``m`` and baseline values ``b``.
+
+    The sums are ``np.add.reduce`` from ``-0.0``, the identity that keeps
+    the bits of the range's pairwise sum, the sign of zero included.
     """
-    edges = [*range(0, mc_draws - 1, _TRUTH_BLOCK_ROWS), mc_draws]
-    return list(zip(edges, edges[1:]))
+    rows = m.size
+    sum_m = float(np.add.reduce(m, initial=-0.0))
+    sum_b = float(np.add.reduce(b, initial=-0.0))
+    dm = m - sum_m / rows
+    db = b - sum_b / rows
+    return _Moments(
+        rows,
+        sum_m,
+        sum_b,
+        float(np.add.reduce(dm * dm)),
+        float(np.add.reduce(db * db)),
+        float(np.add.reduce(dm * db)),
+    )
+
+
+def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
+    """Moments of two adjacent ranges (Chan, Golub & LeVeque 1979)."""
+    rows = a.rows + b.rows
+    dm = b.sum_m / b.rows - a.sum_m / a.rows
+    db = b.sum_b / b.rows - a.sum_b / a.rows
+    w = a.rows * b.rows / rows
+    return _Moments(
+        rows,
+        a.sum_m + b.sum_m,
+        a.sum_b + b.sum_b,
+        a.c_mm + b.c_mm + dm * dm * w,
+        a.c_bb + b.c_bb + db * db * w,
+        a.c_mb + b.c_mb + dm * db * w,
+    )
+
+
+def _influence_var(mom: _Moments, r: float) -> float:
+    """Mean square of the centred influence values ``m - r * b``."""
+    var = (mom.c_mm - 2.0 * r * mom.c_mb + r * r * mom.c_bb) / mom.rows
+    # the three terms cancel only when every influence value is about 0
+    # (m proportional to b); rounding may then leave a tiny negative
+    return max(var, 0.0)
+
+
+def _pairwise_tree(lo: int, hi: int, leaf, merge):
+    """Reduce rows ``lo:hi`` over the tree by which numpy sums a vector.
+
+    ``np.add.reduce`` of a contiguous float64 vector splits a range of more
+    than 128 elements at half its length rounded down to a multiple of 8,
+    and adds the two halves' sums.  This applies ``leaf(lo, hi)`` to every
+    subrange of at most ``_TRUTH_BLOCK_ROWS`` rows and ``merge`` up the
+    tree, so summing the leaves in ``merge`` gives the bits of the sum of
+    the whole vector, less its initial ``0.0 +``.  Every leaf starts at a
+    multiple of 8, only the last one's length is not a multiple of 8, and
+    every leaf of a range of two or more rows holds at least two.
+    """
+    rows = hi - lo
+    if rows <= _TRUTH_BLOCK_ROWS:
+        return leaf(lo, hi)
+    mid = lo + rows // 2 - rows // 2 % 8
+    return merge(_pairwise_tree(lo, mid, leaf, merge), _pairwise_tree(mid, hi, leaf, merge))
 
 
 def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
@@ -233,10 +311,14 @@ def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
 
     The oracle draws covariates only (noise cancels in both means) and
     reports the delta-method standard error of the estimated ratio.  It
-    draws them in blocks of ``_TRUTH_BLOCK_ROWS`` rows, keeping only the
-    effect and baseline vectors of the whole sample, and forms the
-    influence values in place, so memory stays near 19 bytes per draw; the
-    result equals that of one ``mc_draws``-row sample bit for bit.
+    draws the sample one leaf of numpy's pairwise-sum tree at a time, at
+    most ``_TRUTH_BLOCK_ROWS`` rows, so its memory does not grow with
+    ``mc_draws``.  The leaf sums, added up the tree, give ``value`` the bits
+    of one ``mc_draws``-row sample.  ``mc_se`` comes from the per-leaf
+    centred co-moments of the effect ``m`` and baseline ``b``, merged by
+    Chan, Golub & LeVeque's update: with ``r = mean(m) / mean(b)``,
+    ``var(m - r b) = (C_mm - 2 r C_mb + r^2 C_bb) / mc_draws``, which
+    matches ``np.std`` of the influence values in all but the last bits.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown DGP kind {kind!r}")
@@ -245,21 +327,18 @@ def true_rr(kind: str, mc_draws: int = 10**6, seed: int = 0) -> TrueRR:
         return TrueRR(value=_LIN_C1 / _LIN_C0, provenance="closed_form")
     if mc_draws < 10**5:
         raise ValidationError("Monte-Carlo oracle needs at least 1e5 draws")
-    m = np.empty(mc_draws)
-    b = np.empty(mc_draws)
-    for lo, hi in _truth_blocks(mc_draws):
+
+    def leaf(lo: int, hi: int) -> _Moments:
         x = _draw_covariates(kind, seed, mc_draws, lo, hi)
-        m[lo:hi] = _effect(kind, x)
-        b[lo:hi] = _baseline(kind, x)
-    m_bar = float(m.mean())
-    b_bar = float(b.mean())
-    value = m_bar / b_bar + 1.0
-    # the influence values m - (m_bar / b_bar) * b, formed in place in m
-    b *= m_bar / b_bar
-    m -= b
-    del b
-    se = float(np.std(m) / (abs(b_bar) * np.sqrt(mc_draws)))
-    return TrueRR(value=value, provenance="mc_oracle", mc_draws=mc_draws, mc_se=se)
+        return _moments(_effect(kind, x), _baseline(kind, x))
+
+    mom = _pairwise_tree(0, mc_draws, leaf, _merge_moments)
+    # np.mean sums from the identity 0.0
+    m_bar = (0.0 + mom.sum_m) / mc_draws
+    b_bar = (0.0 + mom.sum_b) / mc_draws
+    r = m_bar / b_bar
+    se = math.sqrt(_influence_var(mom, r)) / (abs(b_bar) * math.sqrt(mc_draws))
+    return TrueRR(value=r + 1.0, provenance="mc_oracle", mc_draws=mc_draws, mc_se=se)
 
 
 def softplus_mean_quadrature(scale_sq: float = 3.0, nodes: int = 128) -> float:

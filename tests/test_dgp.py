@@ -1,4 +1,5 @@
 import json
+import operator
 import pickle
 import tracemalloc
 
@@ -25,7 +26,10 @@ from riskratio.dgp import (
     _baseline,
     _draw_covariates,
     _effect,
-    _truth_blocks,
+    _influence_var,
+    _merge_moments,
+    _moments,
+    _pairwise_tree,
 )
 from riskratio.rng import CounterRng, derive_seed
 
@@ -150,60 +154,142 @@ class TestTrueRR:
         with pytest.raises(ValidationError):
             true_rr("lunceford", mc_draws=10**4)
 
-    # draw counts whose last block is short, one row short of full, or a lone row
-    # that joins the block before it
+    # draw counts whose last leaf is a multiple of 8 rows or not, from 64 to
+    # 512 leaves
     @pytest.mark.parametrize(
         "mc_draws, seed",
-        [
-            (10**5, 0),
-            (10**5 + 3, 11),
-            (7 * _TRUTH_BLOCK_ROWS - 1, 3),
-            (7 * _TRUTH_BLOCK_ROWS + 1, 12),
-            (10**6, 7),
-        ],
+        [(10**5, 0), (10**5 + 3, 11), (114_687, 3), (114_689, 12), (333_337, 5), (10**6, 7)],
     )
     @pytest.mark.parametrize("kind", MC_KINDS)
     def test_blocked_oracle_matches_one_shot_oracle(self, kind, mc_draws, seed):
         got = true_rr(kind, mc_draws=mc_draws, seed=seed)
         want = true_rr_oracle(kind, mc_draws=mc_draws, seed=seed)
         assert got.value.hex() == want.value.hex()
-        assert got.mc_se.hex() == want.mc_se.hex()
-        assert got == want
+        # merged co-moments, not np.std of the whole influence vector
+        assert got.mc_se == pytest.approx(want.mc_se, rel=1e-13, abs=0.0)
+        assert (got.provenance, got.mc_draws) == (want.provenance, want.mc_draws)
 
-    @pytest.mark.parametrize("kind", MC_KINDS)
-    def test_oracle_memory_is_bounded_per_draw(self, kind):
-        # the one-shot oracle peaked at 128-168 bytes per draw, the blocked
-        # one at 32 while it formed the influence values in a new array
-        mc_draws = 10**6
+    @staticmethod
+    def _traced_peak(kind, mc_draws):
         tracemalloc.start()
         try:
             true_rr(kind, mc_draws=mc_draws)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * mc_draws
+
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    def test_oracle_memory_is_bounded_per_draw(self, kind):
+        # the one-shot oracle peaked at 128-168 bytes per draw, one with the
+        # whole effect and baseline vectors at 19 (19 MB at 10^6 draws); one
+        # leaf at a time peaks well under 1 MB
+        assert self._traced_peak(kind, 10**6) <= 4 * 2**20
+
+    # a uniform and a normal design (tracemalloc slows the oracle's many small
+    # allocations 2-3 times)
+    @pytest.mark.parametrize("kind", ["nonlinear_rct", "wager_nl_logistic"])
+    def test_oracle_memory_does_not_grow_with_the_draw_count(self, kind):
+        assert self._traced_peak(kind, 4 * 10**6) <= 4 * 2**20
+
+    @pytest.mark.parametrize("kind", MC_KINDS)
+    def test_oracle_draws_each_covariate_counter_once(self, kind, monkeypatch):
+        mc_draws = 10**5 + 7
+        stretches = []
+        uniforms = CounterRng.uniforms
+
+        def counted(rng, n):
+            stretches.append((rng.seed, rng._pos, n))
+            return uniforms(rng, n)
+
+        monkeypatch.setattr(CounterRng, "uniforms", counted)
+        true_rr(kind, mc_draws=mc_draws, seed=3)
+        assert {s for s, _, _ in stretches} == {derive_seed(3, _STREAM_COVARIATES)}
+        assert sum(n for _, _, n in stretches) == 6 * mc_draws
+        # sorted by start, the stretches tile counters 0 .. 6 * mc_draws
+        ends = [0]
+        for _, start, n in sorted(stretches):
+            assert start == ends[-1]
+            ends.append(start + n)
+        assert ends[-1] == 6 * mc_draws
+
+
+def _streamed(m, b):
+    return _pairwise_tree(0, m.size, lambda lo, hi: _moments(m[lo:hi], b[lo:hi]), _merge_moments)
+
+
+def _leaves(n):
+    """The row ranges the truth oracle draws one at a time."""
+    return _pairwise_tree(0, n, lambda lo, hi: [(lo, hi)], operator.add)
+
+
+class TestStreamedMoments:
+    # around multiples of 8 and of 2^17, and from 64 to 2048 leaves
+    @pytest.mark.parametrize(
+        "n",
+        [*(10**5 + k for k in (0, 1, 7, 8, 9)), 2**17 - 1, 2**17 + 1, 10**6, 3 * 10**6 + 7],
+    )
+    def test_streamed_sum_is_the_sum_of_the_whole_vector(self, n):
+        g = np.random.default_rng(n)
+        # magnitudes over 16 decades, so that any other summation order shows
+        v = g.standard_normal(n) * 10.0 ** g.integers(-8, 8, n)
+        total = _streamed(v, v[::-1])
+        assert (0.0 + total.sum_m).hex() == np.add.reduce(v).hex()
+        assert (0.0 + total.sum_b).hex() == np.add.reduce(v[::-1].copy()).hex()
+
+    @pytest.mark.parametrize("n", [10**5 + 9, 2**17 + 1])
+    def test_sign_of_a_zero_sum_is_numpys(self, n):
+        signed = np.where(np.random.default_rng(n).random(n) < 0.5, 0.0, -0.0)
+        # leaves sum from -0.0, so the tree keeps an all -0.0 sum negative, and
+        # the identity 0.0 that np.add.reduce starts from makes it 0.0
+        for v, tree_sum in ((signed, 0.0), (-np.zeros(n), -0.0), (np.zeros(n), 0.0)):
+            total = _streamed(v, v)
+            assert total.sum_m.hex() == tree_sum.hex()
+            assert (0.0 + total.sum_m).hex() == np.add.reduce(v).hex() == "0x0.0p+0"
+
+    def test_merged_co_moments_match_the_whole_sample(self):
+        g = np.random.default_rng(1)
+        b = g.uniform(0.0, 3.0, 3 * _TRUTH_BLOCK_ROWS + 5)
+        m = np.sin(b) + g.standard_normal(b.size)
+        mom = _streamed(m, b)
+        dm, db = m - m.mean(), b - b.mean()
+        assert mom.rows == b.size
+        for got, want in ((mom.c_mm, dm @ dm), (mom.c_bb, db @ db), (mom.c_mb, dm @ db)):
+            assert got == pytest.approx(want, rel=1e-12)
+        r = m.mean() / b.mean()
+        assert _influence_var(mom, r) == pytest.approx(np.var(m - r * b), rel=1e-12)
+
+    def test_influence_variance_of_proportional_surfaces_is_zero_not_negative(self):
+        # m = 0.7 b: every influence value is 0, and for this sample the
+        # merged co-moments round the variance formula below 0
+        b = np.random.default_rng(1).uniform(1.0, 2.0, 1000)
+        r, m = 0.7, 0.7 * b
+        mom = _merge_moments(_moments(m[:488], b[:488]), _moments(m[488:], b[488:]))
+        assert mom.c_mm - 2.0 * r * mom.c_mb + r * r * mom.c_bb < 0.0
+        assert _influence_var(mom, r) == 0.0
 
 
 class TestCovariateLayout:
-    @pytest.mark.parametrize("n", [3 * _TRUTH_BLOCK_ROWS - 1, 3 * _TRUTH_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [49_151, 49_153])
     @pytest.mark.parametrize("kind", KINDS)
     def test_row_blocks_rebuild_the_one_shot_sample(self, kind, n):
         seed = 5
         want = one_shot_covariates(kind, n, CounterRng(derive_seed(seed, _STREAM_COVARIATES)))
         assert np.array_equal(_draw_covariates(kind, seed, n, 0, n), want)
-        blocks = [_draw_covariates(kind, seed, n, a, b) for a, b in _truth_blocks(n)]
+        blocks = [_draw_covariates(kind, seed, n, a, b) for a, b in _leaves(n)]
         assert min(len(x) for x in blocks) >= 2
         assert np.array_equal(np.vstack(blocks), want)
         for surface in (_effect, _baseline):
             by_block = np.concatenate([surface(kind, x) for x in blocks])
             assert np.array_equal(by_block, surface(kind, want))
 
-    @pytest.mark.parametrize("n", [2, 3, _TRUTH_BLOCK_ROWS + 1, 7 * _TRUTH_BLOCK_ROWS, 10**6])
+    @pytest.mark.parametrize("n", [2, 3, 16_385, 114_688, 10**6])
     def test_truth_blocks_tile_the_sample_without_lone_rows(self, n):
-        blocks = _truth_blocks(n)
+        blocks = _leaves(n)
         assert blocks[0][0] == 0 and blocks[-1][1] == n
         assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
-        assert all(2 <= hi - lo <= _TRUTH_BLOCK_ROWS + 1 for lo, hi in blocks)
+        assert all(2 <= hi - lo <= _TRUTH_BLOCK_ROWS for lo, hi in blocks)
+        assert all(lo % 8 == 0 for lo, _ in blocks)
+        assert all((hi - lo) % 8 == 0 for lo, hi in blocks[:-1])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_any_range_of_two_or_more_rows_reads_its_own_rows(self, kind):
