@@ -20,6 +20,7 @@ when applied to covariate-dependent designs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .nuisance import (
     forest_classifier_fit,
     forest_regressor_fit,
     grow_forest_fits,
-    grown_in_one_batch,
 )
 from .rng import CounterRng, derive_seed
 from .trees import ForestConfig
@@ -221,8 +221,7 @@ def fit_propensity(
     A forest is seeded with ``derive_seed(recipe.forest.seed, *keys)``;
     cross-fitting passes the fold index as the key, a full-sample fit none.
     """
-    (model,) = grow_forest_fits([_propensity(x, t, recipe, *keys)])
-    return model
+    return next(grow_forest_fits([_propensity(x, t, recipe, *keys)]))
 
 
 def fit_outcomes(
@@ -247,38 +246,19 @@ def _complements_ok(d: ObservationalDataset, folds: FoldPartition) -> bool:
     return True
 
 
-def _fold_runs(d: ObservationalDataset, folds: FoldPartition, recipe: NuisanceRecipe):
-    """Runs ``(ks, fits)`` of consecutive folds and their unfitted nuisances.
-
-    ``fits`` holds fold ``ks[i]``'s propensity, ``mu0`` and ``mu1`` at
-    ``3 * i`` onwards.  A fold joins the run before it while
-    :func:`~.nuisance.grow_forest_fits` would still grow every forest of the
-    run in one lockstep batch; past the batch cap a run is one fold, so a
-    large cross-fit fits and scores fold by fold and holds one fold's
-    forests at a time.
-    """
-    ks, fits = [], []
-    for k in range(1, folds.k + 1):
-        train = folds.assignment != k
-        x_tr, t_tr = d.x[train], d.t[train]
-        fold = [_propensity(x_tr, t_tr, recipe, k), *_outcomes(x_tr, t_tr, d.y[train], recipe, k)]
-        if ks and not grown_in_one_batch(fits + fold):
-            yield ks, fits
-            ks, fits = [], []
-        ks.append(k)
-        fits += fold
-    yield ks, fits
-
-
 def crossfit_nuisances(
     d: ObservationalDataset, folds: FoldPartition, recipe: NuisanceRecipe
 ) -> CrossfitScores:
     """Fit nuisances on each fold complement and score the held-out fold.
 
     If some fold complement lacks a treatment arm, the partition is redrawn
-    once with a seed derived from ``folds.seed`` before giving up.  Folds
-    are fitted and scored in runs (see :func:`_fold_runs`): every fold of a
-    run is fitted before any is scored, and the run's forests grow together.
+    once with a seed derived from ``folds.seed`` before giving up.  Every
+    fold's nuisances are set up, and their forest inputs checked, before
+    any forest grows.  Each fold then takes its propensity, ``mu0`` and
+    ``mu1`` from one :func:`~.nuisance.grow_forest_fits` stream, which
+    grows a lockstep batch when it reaches the batch's first forest; the
+    three models score the held-out fold and are dropped before the next
+    fold's are taken.
     """
     if folds.assignment.shape[0] != d.n:
         raise ValidationError("fold assignment length does not match dataset")
@@ -287,18 +267,23 @@ def crossfit_nuisances(
             folds = make_folds(d.n, folds.k, derive_seed(folds.seed, 0xF01D))
         if not _complements_ok(d, folds):
             raise EstimationError("a fold complement has an empty treatment arm")
+    fits = []
+    for k in range(1, folds.k + 1):
+        train = folds.assignment != k
+        x_tr, t_tr = d.x[train], d.t[train]
+        fits += [_propensity(x_tr, t_tr, recipe, k), *_outcomes(x_tr, t_tr, d.y[train], recipe, k)]
+    models = grow_forest_fits(fits)
     e = np.empty(d.n)
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)
-    for ks, fits in _fold_runs(d, folds, recipe):
-        models = grow_forest_fits(fits)
-        for i, k in enumerate(ks):
-            held = folds.assignment == k
-            x_held = d.x[held]
-            e[held] = models[3 * i].predict(x_held)
-            mu0[held] = models[3 * i + 1].predict(x_held)
-            mu1[held] = models[3 * i + 2].predict(x_held)
-        del models  # the next run grows without this run's forests
+    for k in range(1, folds.k + 1):
+        e_k, mu0_k, mu1_k = islice(models, 3)
+        held = folds.assignment == k
+        x_held = d.x[held]
+        e[held] = e_k.predict(x_held)
+        mu0[held] = mu0_k.predict(x_held)
+        mu1[held] = mu1_k.predict(x_held)
+        del e_k, mu0_k, mu1_k  # the next batch grows without this fold's forests
     return CrossfitScores(d=d, e=e, mu0=mu0, mu1=mu1, folds=folds)
 
 

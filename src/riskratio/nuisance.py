@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .trees import (
     fit_forests,
     forest_from_dict,
     forest_to_dict,
-    one_batch,
 )
 
 DEFAULT_CLIP = 0.01
@@ -351,20 +350,16 @@ def forest_classifier_fit(
     return ForestFit(job, partial(PropensityModel, clip=clip, n_features=x.shape[1]))
 
 
-def grow_forest_fits(fits: list) -> list:
-    """``fits`` with each :class:`ForestFit` replaced by its model.
+def grow_forest_fits(fits: list) -> Iterator:
+    """The models of ``fits`` in order, each :class:`ForestFit` grown into its model.
 
-    All their forests grow in one :func:`~riskratio.trees.fit_forests`
-    call; any other item is a model already and is passed through.
+    Their forests are one :func:`~riskratio.trees.fit_forests` stream: every
+    forest job is checked here, before any tree grows, and each batch grows
+    when its first forest's model is requested.  Any other item is a model
+    already and is passed through.
     """
-    pending = [f for f in fits if isinstance(f, ForestFit)]
-    forests = iter(fit_forests([f.job for f in pending]))
-    return [f.model(next(forests)) if isinstance(f, ForestFit) else f for f in fits]
-
-
-def grown_in_one_batch(fits: list) -> bool:
-    """Whether :func:`grow_forest_fits` grows every forest of ``fits`` in one lockstep batch."""
-    return one_batch([f.job for f in fits if isinstance(f, ForestFit)])
+    forests = fit_forests([f.job for f in fits if isinstance(f, ForestFit)])
+    return (f.model(next(forests)) if isinstance(f, ForestFit) else f for f in fits)
 
 
 def fit_forest_regressor(

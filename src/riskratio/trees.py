@@ -24,8 +24,15 @@ A child keeps its parent's row order, and a node's value is the mean of its
 targets summed in that order as ``np.add.reduce`` sums them.  Fitted forests
 are therefore bit-reproducible.
 
-Growth.  The trees of a batch grow together in lockstep rounds.  A batch
-is every tree of one or more jobs of :func:`fit_forests`: their rows are
+Growth.  :func:`fit_forests` grows forests as a stream, one batch at a
+time: it checks every job first, and its iterator grows a batch when that
+batch's first forest is requested, by one call of :func:`_grow_forest`,
+which returns the batch's forests.  A batch takes consecutive jobs that
+share ``p``, ``min_leaf``, ``max_depth`` and ``bootstrap`` while its trees'
+row buffer holds at most ``_BATCH_CELLS`` cells; a job above that grows
+alone, as it would by itself.  So a caller that takes the forests in order
+and drops each once used holds one batch of forests, plus what it keeps.
+The trees of a batch grow together in lockstep rounds.  Their rows are
 stacked in one table, so each tree carries its own row offset into it, its
 own draw offset (its job's ``n`` with ``bootstrap``, else 0) and its own
 ``mtry``.  Each round pops the next node from every tree's depth-first
@@ -40,13 +47,8 @@ running sums of the real rows unchanged, and every gain is bit-identical
 to a scan of that node alone.  Nodes go by ``mtry`` and then largest
 first, in chunks of one ``mtry`` and at most ``_CELL_BUDGET`` cells whose
 nodes have at least half the chunk's widest row count, which bounds both
-memory and padding.  A batch takes consecutive jobs that share ``p``,
-``min_leaf``, ``max_depth`` and ``bootstrap`` while its trees' row buffer
-holds at most ``_BATCH_CELLS`` cells; a job above that grows alone, as it
-would by itself.  A round costs a fixed overhead whatever its tree count,
-so growing the forests of a cross-fit in one batch saves time;
-:func:`one_batch` tells a caller whether some jobs would share a batch,
-and the cross-fit uses it to grow and score its folds in runs that do.
+memory and padding.  A round costs a fixed overhead whatever its tree
+count, so growing many small forests in one batch saves time.
 
 Two steps stay as they are.  Node values are summed segment by segment,
 because ``np.add.reduceat`` sums in another order than ``np.add.reduce``
@@ -59,8 +61,8 @@ other stable ordering tried was slower.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -166,32 +168,22 @@ def _leaf_values(x, first, feature, threshold, left, right, value):
 
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, default_mtry: int) -> Forest:
     """One forest: :func:`fit_forests` of the single job ``(x, y, cfg, default_mtry)``."""
-    return fit_forests([(x, y, cfg, default_mtry)])[0]
+    return next(fit_forests([(x, y, cfg, default_mtry)]))
 
 
-def fit_forests(jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]]) -> list[Forest]:
-    """One forest per ``(x, y, cfg, default_mtry)`` job, their trees grown together.
+def fit_forests(
+    jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]],
+) -> Iterator[Forest]:
+    """One forest per ``(x, y, cfg, default_mtry)`` job, in job order, as a stream.
 
-    Every job is checked before any tree grows, so the first bad job raises
-    what :func:`fit_forest` raises for it.  Consecutive jobs that share
-    ``p``, ``min_leaf``, ``max_depth`` and ``bootstrap`` grow in one batch
-    while their trees' row buffer holds at most ``_BATCH_CELLS`` cells; a
-    larger job grows alone.  Each forest is, bit for bit, the one its job
-    grows alone.
+    Every job is checked here, before any tree grows, so the first bad job
+    raises what :func:`fit_forest` raises for it.  The returned iterator
+    grows each batch of jobs (module docstring) when that batch's first
+    forest is requested, and lets go of a batch once its last forest is
+    taken.  Each forest is, bit for bit, the one its job grows alone.
     """
     checked = [_checked(*job) for job in jobs]
-    trees = iter([tree for batch in _batches(checked) for tree in _grow_forest(batch)])
-    return [
-        Forest(list(islice(trees, cfg.n_trees)), cfg, x.shape[1]) for x, _, cfg, _ in checked
-    ]
-
-
-def one_batch(jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]]) -> bool:
-    """Whether :func:`fit_forests` grows every tree of ``jobs`` in one lockstep batch.
-
-    True for no jobs or one; each job's ``x`` must be an array.
-    """
-    return sum(1 for _ in _batches(jobs)) <= 1
+    return (forest for batch in _batches(checked) for forest in _grow_forest(batch))
 
 
 def _checked(x, y, cfg, default_mtry):
@@ -229,7 +221,7 @@ def _round_settings(job):
 
 
 def _grow_forest(jobs):
-    """Grow the trees of one batch of checked jobs in lockstep rounds (module docstring)."""
+    """The forests of one batch of checked jobs, grown in lockstep rounds (module docstring)."""
     p, min_leaf, max_depth, bootstrap = _round_settings(jobs[0])
     rows = [x.shape[0] for x, _, _, _ in jobs]
     n_trees = [cfg.n_trees for _, _, cfg, _ in jobs]
@@ -324,7 +316,7 @@ def _grow_forest(jobs):
             a = b
         active = [t for t in active if stacks[t]]
     del buf, xe, ye, rank  # the batch's rows are not needed to assemble its trees
-    return _assemble(n_nodes, rounds)
+    return _assemble(n_nodes, rounds, [cfg for _, _, cfg, _ in jobs], p)
 
 
 def _node_values(ye, buf, base, m):
@@ -355,8 +347,12 @@ def _node_values(ye, buf, base, m):
     return value, varies
 
 
-def _assemble(n_nodes, rounds):
-    """Per-tree node arrays from the per-round records of ``_grow_forest``."""
+def _assemble(n_nodes, rounds, cfgs, p):
+    """The forests of ``cfgs`` from the per-round records of ``_grow_forest``.
+
+    ``rounds`` is emptied as it is read.  Each forest's node arrays are its
+    own, so a forest kept alive does not keep the rest of its batch.
+    """
     first = np.cumsum(n_nodes) - n_nodes
     total = int(n_nodes.sum())
     feature = np.empty(total, dtype=np.int64)
@@ -364,18 +360,24 @@ def _assemble(n_nodes, rounds):
     left = np.empty(total, dtype=np.int64)
     right = np.empty(total, dtype=np.int64)
     value = np.empty(total)
-    for tree, node, node_value, node_feature, node_threshold, child in rounds:
+    while rounds:
+        tree, node, node_value, node_feature, node_threshold, child = rounds.pop()
         at = first[tree] + node
         value[at] = node_value
         feature[at] = node_feature
         threshold[at] = node_threshold
         left[at] = child
         right[at] = np.where(child == _LEAF, _LEAF, child + 1)
-    bounds = first[1:]
-    return [
-        Tree(*fields)
-        for fields in zip(*(np.split(a, bounds) for a in (feature, threshold, left, right, value)))
-    ]
+    fields = (feature, threshold, left, right, value)
+    forests, a = [], 0
+    for cfg in cfgs:
+        b = a + cfg.n_trees
+        lo = first[a]
+        own = (f[lo : first[b - 1] + n_nodes[b - 1]].copy() for f in fields)
+        trees = [Tree(*t) for t in zip(*(np.split(f, first[a + 1 : b] - lo) for f in own))]
+        forests.append(Forest(trees, cfg, p))
+        a = b
+    return forests
 
 
 def _best_splits(xe, rank, idx, ys, m, feats, min_leaf):

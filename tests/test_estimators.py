@@ -332,6 +332,26 @@ def test_crossfit_batches_whole_folds_and_scores_them_before_the_next(
         assert got.tobytes() == want.tobytes()
 
 
+def test_crossfit_batches_that_straddle_folds_score_each_fold_once_its_forests_grew(monkeypatch):
+    # a cap of 1.5 folds of the cells above: the first batch ends after
+    # fold 2's propensity, the second holds the rest
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=150, seed=27)).dataset
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=8, seed=28))
+    folds = make_folds(150, 3, seed=29)
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 2400)
+    events = []
+    grow, predict = trees._grow_forest, trees.Forest.predict
+    monkeypatch.setattr(trees, "_grow_forest", lambda jobs: events.append(len(jobs)) or grow(jobs))
+    monkeypatch.setattr(
+        trees.Forest, "predict", lambda self, x: events.append("predict") or predict(self, x)
+    )
+    scores = crossfit_nuisances(d, folds, recipe)
+    assert events == [4] + ["predict"] * 3 + [5] + ["predict"] * 6
+    expected = _one_forest_at_a_time(d, folds, recipe)
+    for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def _traced_peak(fit):
     tracemalloc.start()
     try:
@@ -352,6 +372,19 @@ def test_crossfit_past_the_batch_cap_peaks_like_one_forest_at_a_time(monkeypatch
     one_at_a_time = _traced_peak(lambda: _one_forest_at_a_time(d, folds, recipe))
     crossfit = _traced_peak(lambda: crossfit_nuisances(d, folds, recipe))
     assert crossfit <= 1.25 * one_at_a_time
+
+
+def test_crossfit_peak_does_not_grow_with_the_fold_count(monkeypatch):
+    # a fold's forests hold 3,200 row-buffer cells at k=5 and 3,600 at
+    # k=10, so batches of at most 4,800 end inside folds at both
+    d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=200, seed=3)).dataset
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=10, seed=4))
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 4800)
+    five, ten = [
+        _traced_peak(lambda: crossfit_nuisances(d, make_folds(200, k, seed=5), recipe))
+        for k in (5, 10)
+    ]
+    assert ten <= 1.25 * five
 
 
 def test_forest_propensity_rejects_its_clip_before_growing_any_forest(monkeypatch):

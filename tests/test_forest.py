@@ -230,7 +230,7 @@ def forest_batches(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest_batches())
 def test_batched_growth_matches_per_node_oracle(jobs):
-    forests = trees.fit_forests(jobs)
+    forests = list(trees.fit_forests(jobs))
     assert len(forests) == len(jobs)
     for (x, y, cfg, default_mtry), forest in zip(jobs, forests):
         _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
@@ -249,6 +249,53 @@ def test_any_batch_cap_matches_oracle(monkeypatch, cap):
         jobs.append((x, y, ForestConfig(n_trees=4, min_leaf=2, mtry=mtry, seed=n), 1))
     for (x, y, cfg, default_mtry), forest in zip(jobs, trees.fit_forests(jobs)):
         _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+
+
+def _jobs(*rows):
+    """One 3-tree regression job per row count, each of 3 * rows cells."""
+    g = np.random.default_rng(16)
+    jobs = []
+    for n in rows:
+        x = g.normal(size=(n, 3))
+        y = np.sin(x[:, 0]) + g.normal(size=n)
+        jobs.append((x, y, ForestConfig(n_trees=3, min_leaf=2, seed=n), 1))
+    return jobs
+
+
+def _counting_growth(monkeypatch):
+    grown = []
+    grow = trees._grow_forest
+    monkeypatch.setattr(trees, "_grow_forest", lambda jobs: grown.append(len(jobs)) or grow(jobs))
+    return grown
+
+
+def test_forests_stream_one_batch_per_request(monkeypatch):
+    # jobs of 150, 120 and 90 cells: the first alone, the last two together
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
+    grown = _counting_growth(monkeypatch)
+    jobs = _jobs(50, 40, 30)
+    forests = trees.fit_forests(jobs)
+    assert grown == []
+    first = next(forests)
+    assert grown == [1]
+    rest = list(forests)
+    assert grown == [1, 2]
+    # forests of one batch own their node arrays: one kept alive keeps no other
+    assert rest[0].trees[0].value.base is not rest[1].trees[0].value.base
+    for (x, y, cfg, default_mtry), forest in zip(jobs, [first, *rest]):
+        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+
+
+def test_a_bad_last_job_raises_before_any_batch_grows(monkeypatch):
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
+    grown = _counting_growth(monkeypatch)
+    jobs = _jobs(50, 40, 30)
+    x, y, cfg, default_mtry = jobs[-1]
+    y = y.copy()
+    y[-1] = np.nan
+    with pytest.raises(ValidationError, match="must be finite"):
+        trees.fit_forests([*jobs[:-1], (x, y, cfg, default_mtry)])
+    assert grown == []
 
 
 def test_stacked_rows_past_uint16_ranks_match_forests_grown_alone():
