@@ -30,6 +30,7 @@ from .nuisance import (
     OutcomeModel,
     PropensityModel,
     fit_logistic_mle,
+    fit_logistic_subsets,
     fit_ols,
     forest_classifier_fit,
     forest_regressor_fit,
@@ -59,9 +60,11 @@ class FoldPartition:
 
     def __post_init__(self):
         a = np.array(self.assignment, dtype=np.int64)
-        ids, counts = np.unique(a, return_counts=True)
-        if self.k < 2 or ids.size != self.k or ids[0] != 1 or ids[-1] != self.k:
-            raise ValidationError(f"fold ids must cover 1..k with k >= 2, got {ids}")
+        # ids within 1..k are counted by bincount; any other id is an error
+        ok = self.k >= 2 and a.size > 0 and a.min() == 1 and a.max() == self.k
+        counts = np.bincount(a.ravel())[1:] if ok else None
+        if not ok or not counts.all():
+            raise ValidationError(f"fold ids must cover 1..k with k >= 2, got {np.unique(a)}")
         if counts.max() - counts.min() > 1:
             raise ValidationError("fold sizes may differ by at most one")
         a.setflags(write=False)
@@ -196,13 +199,26 @@ def _propensity(x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int
     return fit_logistic_mle(x, t, clip=recipe.clip)
 
 
-def _outcomes(x: np.ndarray, t: np.ndarray, y: np.ndarray, recipe: NuisanceRecipe, *keys: int):
-    """The recipe's ``[mu0, mu1]``, each forest as a :class:`~.nuisance.ForestFit`."""
+def _outcomes(
+    x: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+    recipe: NuisanceRecipe,
+    *keys: int,
+    train: np.ndarray | None = None,
+):
+    """The recipe's ``[mu0, mu1]``, each forest as a :class:`~.nuisance.ForestFit`.
+
+    Each arm is fitted on its rows among those of the mask ``train``, or
+    among all rows without one.
+    """
     if not isinstance(recipe.outcome, str):
         return list(recipe.outcome)
     fits = []
     for arm in (0, 1):
         rows = t == arm
+        if train is not None:
+            rows &= train
         if not rows.any():
             raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
         if recipe.outcome == "forest":
@@ -237,9 +253,13 @@ def fit_outcomes(
     return mu0, mu1
 
 
-def _complements_ok(d: ObservationalDataset, folds: FoldPartition) -> bool:
-    for k in range(1, folds.k + 1):
-        train = folds.assignment != k
+def _complements(folds: FoldPartition) -> list[np.ndarray]:
+    """The row mask of each fold's complement, in fold order."""
+    return [folds.assignment != k for k in range(1, folds.k + 1)]
+
+
+def _complements_ok(d: ObservationalDataset, trains: list[np.ndarray]) -> bool:
+    for train in trains:
         t_tr = d.t[train]
         if t_tr.size == 0 or t_tr.min() == t_tr.max():
             return False
@@ -252,9 +272,14 @@ def crossfit_nuisances(
     """Fit nuisances on each fold complement and score the held-out fold.
 
     If some fold complement lacks a treatment arm, the partition is redrawn
-    once with a seed derived from ``folds.seed`` before giving up.  Every
-    fold's nuisances are set up, and their forest inputs checked, before
-    any forest grows.  Each fold then takes its propensity, ``mu0`` and
+    once with a seed derived from ``folds.seed`` before giving up.  A
+    logistic propensity is fitted on every fold complement first, by
+    :func:`~.nuisance.fit_logistic_subsets`: complements of equal size are
+    solved as one stack of at most ``_BATCH_CELLS`` design cells, and a
+    larger complement alone; a failed fit is raised at its fold's place
+    below, before that fold's outcome fits.  Every fold's nuisances are
+    then set up, and their forest inputs checked, before any forest grows.
+    Each fold then takes its propensity, ``mu0`` and
     ``mu1`` from one :func:`~.nuisance.grow_forest_fits` stream, which
     grows a lockstep batch when it reaches the batch's first forest; the
     three models score the held-out fold and are dropped before the next
@@ -262,23 +287,29 @@ def crossfit_nuisances(
     """
     if folds.assignment.shape[0] != d.n:
         raise ValidationError("fold assignment length does not match dataset")
-    if recipe.needs_fitting and not _complements_ok(d, folds):
+    trains = _complements(folds)
+    if recipe.needs_fitting and not _complements_ok(d, trains):
         if folds.seed is not None:
             folds = make_folds(d.n, folds.k, derive_seed(folds.seed, 0xF01D))
-        if not _complements_ok(d, folds):
+            trains = _complements(folds)
+        if not _complements_ok(d, trains):
             raise EstimationError("a fold complement has an empty treatment arm")
+    logistic = None
+    if recipe.propensity == "logistic":
+        logistic = fit_logistic_subsets(d.x, d.t, trains, clip=recipe.clip)
     fits = []
-    for k in range(1, folds.k + 1):
-        train = folds.assignment != k
-        x_tr, t_tr = d.x[train], d.t[train]
-        fits += [_propensity(x_tr, t_tr, recipe, k), *_outcomes(x_tr, t_tr, d.y[train], recipe, k)]
+    for k, train in enumerate(trains, 1):
+        e_k = logistic[k - 1] if logistic else _propensity(d.x[train], d.t[train], recipe, k)
+        if isinstance(e_k, Exception):
+            raise e_k
+        fits += [e_k, *_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
     models = grow_forest_fits(fits)
     e = np.empty(d.n)
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)
-    for k in range(1, folds.k + 1):
+    for train in trains:
         e_k, mu0_k, mu1_k = islice(models, 3)
-        held = folds.assignment == k
+        held = ~train
         x_held = d.x[held]
         e[held] = e_k.predict(x_held)
         mu0[held] = mu0_k.predict(x_held)

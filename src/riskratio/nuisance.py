@@ -9,7 +9,12 @@ A model is a *surface*, a callable from an ``(n, p)`` covariate matrix to
   squares for outcome surfaces;
 * :class:`Logistic`: ``expit`` of a linear index, fitted by logistic
   maximum likelihood for the propensity score (Newton-Raphson with
-  step-halving; unpenalised by default, optional ridge rescue);
+  step-halving; unpenalised by default, optional ridge rescue).  One
+  Newton loop, :func:`fit_logistic_stack`, solves a stack of problems of
+  equal shape at once; :func:`fit_logistic_mle` is its one-problem call,
+  and :func:`fit_logistic_subsets` stacks the fits of many row subsets
+  (a cross-fit's fold complements) up to ``_BATCH_CELLS`` design cells,
+  the cap of a forest batch;
 * :class:`~riskratio.trees.Forest`: bagged CART trees for both (see
   :mod:`riskratio.trees`);
 * any other callable, such as a known oracle surface (kind ``function``).
@@ -48,6 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .trees import (
+    _BATCH_CELLS,
     Forest,
     ForestConfig,
     fit_forest,
@@ -172,11 +178,31 @@ def constant_outcome(value: float, arm: int | None = None) -> OutcomeModel:
     return OutcomeModel(Constant(float(value)), arm=arm)
 
 
-def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, beta, ridge: float) -> float:
-    nll = float(np.mean(np.logaddexp(0.0, s) - t * s))
+def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, beta: np.ndarray, ridge: float):
+    """Mean negative log-likelihood of each problem of a stack, one per row of ``s``."""
+    terms = np.logaddexp(0.0, s) - t * s
+    nll = np.add.reduce(terms, axis=-1) / terms.shape[-1]  # np.mean's sum, then its divide
     if ridge > 0.0:
-        nll += 0.5 * ridge * float(beta[1:] @ beta[1:])
+        b = beta[..., 1:]
+        nll = nll + 0.5 * ridge * (b[..., None, :] @ b[..., :, None])[..., 0, 0]
     return nll
+
+
+def _design(x: np.ndarray) -> np.ndarray:
+    """The design ``(1, x)`` of an ``(n, p)`` matrix, C-contiguous."""
+    n, p = x.shape
+    xt = np.empty((n, p + 1))
+    xt[:, 0] = 1.0
+    xt[:, 1:] = x
+    return xt
+
+
+def _evaluate(xt: np.ndarray, t: np.ndarray, beta: np.ndarray, ridge: float):
+    """Linear indices ``(K, n)`` and likelihoods ``(K,)`` of a stack at ``beta``."""
+    s = np.matmul(xt, beta[..., None])[..., 0]
+    nll = np.empty(len(beta))
+    nll[:] = _neg_log_likelihood(s, t, beta, ridge)
+    return s, nll
 
 
 def fit_logistic_mle(
@@ -191,97 +217,250 @@ def fit_logistic_mle(
 
     Newton-Raphson with step-halving on the (optionally ridge-penalised)
     negative log-likelihood.  Convergence means the mean score
-    ``(1/n) sum x~_i (t_i - p_i)`` has max-norm at most ``tol``.
+    ``(1/n) sum x~_i (t_i - p_i)`` has max-norm at most ``tol``.  This is
+    the one-problem call of :func:`fit_logistic_stack`.
 
     Raises:
         RankDeficiencyError: the design ``(1, x)`` is column-rank deficient;
             the message names the first offending column (0 = intercept).
         SeparationError: the coefficients diverge, so the score cannot
-            vanish (perfect or quasi-perfect separation).
+            vanish (perfect or quasi-perfect separation), or, unpenalised,
+            the converged linear index weakly separates the two arms.
         ConvergenceError: ``max_iter`` exhausted with the score max-norm
             above ``tol`` (above ``10 * tol`` if the last step could not
             lower the likelihood); reports the final score norm.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    n, p = x.shape
-    if n < p + 1:
-        raise ValidationError(f"need at least p+1={p + 1} rows, got {n}")
-    n1 = int(t.sum())
-    if n1 == 0 or n1 == n:
-        raise ValidationError("both treatment arms must be non-empty")
-    xt = np.column_stack([np.ones(n), x])
-    beta = np.zeros(p + 1)
-    penalty = np.zeros(p + 1)
+    xt = _design(x)
+    (fit,) = fit_logistic_stack(xt[None], t[None], tol, max_iter, ridge, clip)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def fit_logistic_stack(
+    xt: np.ndarray,
+    t: np.ndarray,
+    tol: float = LOGISTIC_TOL,
+    max_iter: int = LOGISTIC_MAX_ITER,
+    ridge: float = 0.0,
+    clip: float = DEFAULT_CLIP,
+) -> list:
+    """Solve a stack of logistic problems in one Newton loop.
+
+    Problem ``i`` regresses ``t[i]`` on the design ``xt[i]``, whose first
+    column is ones: ``xt`` is ``(K, n, p+1)`` and ``t`` is ``(K, n)``, both
+    float and C-contiguous.  Each Newton step makes one stacked ``matmul``
+    per product, one ``np.linalg.solve`` and one ``_neg_log_likelihood``
+    call for the problems still running; every problem keeps its own
+    step-halving, stall flag and stopping point, and the stack is copied
+    smaller only when a problem finishes.  Each problem's coefficients, or
+    its error, are bit for bit what it gets alone, on the same numpy and
+    BLAS build.
+
+    Returns one item per problem: its :class:`PropensityModel`, or the
+    :class:`ValidationError`, :class:`RankDeficiencyError`,
+    :class:`SeparationError` or :class:`ConvergenceError` that
+    :func:`fit_logistic_mle` raises for it.
+    """
+    k, n, q = xt.shape
+    if n < q:
+        return [ValidationError(f"need at least p+1={q} rows, got {n}") for _ in range(k)]
+    fits: list = [None] * k
+    for i, n1 in enumerate(t.sum(axis=1)):
+        if int(n1) in (0, n):
+            fits[i] = ValidationError("both treatment arms must be non-empty")
+    ids = np.array([i for i in range(k) if fits[i] is None], dtype=np.int64)
+    if ids.size == 0:
+        return fits
+    if ids.size < k:
+        xt, t = xt[ids], t[ids]
+    penalty = np.zeros(q)
     if ridge > 0.0:
         penalty[1:] = ridge
-    s = xt @ beta
-    nll = _neg_log_likelihood(s, t, beta, ridge)
-    stalled = False
+    beta = np.zeros((ids.size, q))
+    s, nll = _evaluate(xt, t, beta, ridge)
+    progress = np.ones(ids.size, dtype=bool)
     for it in range(max_iter + 1):
         prob = expit(s)
-        score = xt.T @ (t - prob) / n - penalty * beta
-        score_norm = float(np.max(np.abs(score)))
+        score = np.matmul(xt.transpose(0, 2, 1), (t - prob)[..., None])[..., 0] / n - penalty * beta
+        score_norm = np.abs(score).max(axis=1)
         # at the rounding floor an accepted step can leave the likelihood
         # unchanged, so the score stops shrinking just above tol; once the
         # iterations run out, such a stalled fit is accepted within 10 * tol
-        if score_norm <= tol or (it == max_iter and stalled and score_norm <= 10.0 * tol):
-            # without a separating hyperplane some residual stays >= 0.5 at
-            # every beta, so a vanishing score with uniformly tiny residuals
-            # means the data are separated and no finite MLE exists
-            if ridge == 0.0 and np.max(np.abs(t - prob)) < 1e-3:
-                raise SeparationError(
-                    "perfectly classified sample (coefficient max-norm "
-                    f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
-                )
-            return PropensityModel(
-                Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=p
-            )
+        done = score_norm <= tol
         if it == max_iter:
-            raise ConvergenceError(
-                f"no convergence after {max_iter} iterations; score max-norm {score_norm:.3e}"
+            done |= ~progress & (score_norm <= 10.0 * tol)
+        if it == max_iter or done.any():
+            ends = {}
+            for j in np.flatnonzero(done | (it == max_iter)):
+                if done[j]:
+                    ends[j] = _converged_fit(xt[j], t[j], s[j], prob[j], beta[j], tol, ridge, clip)
+                else:
+                    ends[j] = ConvergenceError(
+                        f"no convergence after {max_iter} iterations; "
+                        f"score max-norm {score_norm[j]:.3e}"
+                    )
+            ids, xt, t, beta, s, nll, prob, score, score_norm = _retire(
+                fits, ends, ids, xt, t, beta, s, nll, prob, score, score_norm
             )
-        w = prob * (1.0 - prob)
-        hess = (xt * w[:, None]).T @ xt / n + np.diag(penalty)
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError:
-            _raise_on_dependent_column(xt)
-            raise SeparationError(
-                f"singular information matrix with score norm {score_norm:.3e}; "
-                f"coefficient norm {np.max(np.abs(beta)):.3e}"
-            ) from None
-        nll_before = nll
-        lam = 1.0
-        for _ in range(40):
-            cand = beta + lam * step
-            s_cand = xt @ cand
-            nll_cand = _neg_log_likelihood(s_cand, t, cand, ridge)
-            if nll_cand <= nll:
-                beta, s, nll = cand, s_cand, nll_cand
+            if ids.size == 0:
                 break
-            lam *= 0.5
-        else:  # all 40 halvings failed: step by lam = 2**-40 and evaluate there
-            beta = beta + lam * step
-            s = xt @ beta
-            nll = _neg_log_likelihood(s, t, beta, ridge)
-        stalled = not nll < nll_before
-        if np.max(np.abs(beta)) > _SEPARATION_NORM:
-            raise SeparationError(
-                f"diverging coefficients (max |beta| = {np.max(np.abs(beta)):.3e}); "
-                "data are (quasi-)separated"
+        w = prob * (1.0 - prob)
+        hess = np.matmul((xt * w[..., None]).transpose(0, 2, 1), xt) / n + np.diag(penalty)
+        step, singular = _newton_steps(hess, score)
+        if singular:
+            ends = {j: _singular_fit(xt[j], score_norm[j], beta[j]) for j in singular}
+            ids, xt, t, beta, s, nll, step = _retire(fits, ends, ids, xt, t, beta, s, nll, step)
+            if ids.size == 0:
+                break
+        cand = beta + step
+        s_cand, nll_cand = _evaluate(xt, t, cand, ridge)
+        accepted = nll_cand <= nll
+        if not accepted.all():
+            for j in np.flatnonzero(~accepted):
+                # halve this problem's step alone, up to 40 tries in all; if
+                # every one fails, step by lam = 2**-40 and evaluate there
+                rows = slice(j, j + 1)
+                lam = 1.0
+                for _ in range(39):
+                    lam *= 0.5
+                    c = beta[rows] + lam * step[rows]
+                    sc, nc = _evaluate(xt[rows], t[rows], c, ridge)
+                    if nc[0] <= nll[j]:
+                        break
+                else:
+                    lam *= 0.5
+                    c = beta[rows] + lam * step[rows]
+                    sc, nc = _evaluate(xt[rows], t[rows], c, ridge)
+                cand[j], s_cand[j], nll_cand[j] = c[0], sc[0], nc[0]
+        progress = nll_cand < nll
+        beta, s, nll = cand, s_cand, nll_cand
+        size = np.abs(beta).max(axis=1)
+        diverged = size > _SEPARATION_NORM
+        if diverged.any():
+            ends = {
+                j: SeparationError(
+                    f"diverging coefficients (max |beta| = {size[j]:.3e}); "
+                    "data are (quasi-)separated"
+                )
+                for j in np.flatnonzero(diverged)
+            }
+            ids, xt, t, beta, s, nll, progress = _retire(
+                fits, ends, ids, xt, t, beta, s, nll, progress
             )
+            if ids.size == 0:
+                break
+    return fits
 
 
-def _raise_on_dependent_column(xt: np.ndarray) -> None:
-    """Raise :class:`RankDeficiencyError` naming the first column of ``xt``
-    that is linearly dependent on earlier ones; return if there is none."""
+def fit_logistic_subsets(
+    x: np.ndarray, t: np.ndarray, subsets: list, clip: float = DEFAULT_CLIP
+) -> list:
+    """The logistic fit of ``t[r]`` on ``x[r]`` for each boolean row mask ``r``.
+
+    Problems of equal row count are solved together by
+    :func:`fit_logistic_stack`, in stacks of at most ``_BATCH_CELLS``
+    design cells, the cap of a forest batch; a problem above the cap is
+    solved alone.  Each item is a model or an error, as in
+    :func:`fit_logistic_stack`.
+    """
+    design = _design(x)
+    q = design.shape[1]
+    sizes = [int(np.count_nonzero(r)) for r in subsets]
+    fits: list = [None] * len(subsets)
+    for n in dict.fromkeys(sizes):
+        group = [i for i, size in enumerate(sizes) if size == n]
+        per_stack = max(1, _BATCH_CELLS // max(1, n * q))
+        for a in range(0, len(group), per_stack):
+            stack = group[a : a + per_stack]
+            xt = np.empty((len(stack), n, q))
+            ts = np.empty((len(stack), n))
+            for j, i in enumerate(stack):
+                np.compress(subsets[i], design, axis=0, out=xt[j])
+                ts[j] = t[subsets[i]]
+            for i, fit in zip(stack, fit_logistic_stack(xt, ts, clip=clip)):
+                fits[i] = fit
+    return fits
+
+
+def _retire(fits: list, ends: dict, ids: np.ndarray, *stack: np.ndarray) -> list:
+    """Record the results ``ends`` (stack position -> result) in ``fits``;
+    return ``ids`` and the ``stack`` arrays without those positions."""
+    keep = np.ones(ids.size, dtype=bool)
+    for j, fit in ends.items():
+        fits[ids[j]] = fit
+        keep[j] = False
+    return [a[keep] for a in (ids, *stack)]
+
+
+def _newton_steps(hess: np.ndarray, score: np.ndarray):
+    """Newton steps of a stack and the positions whose information matrix
+    is singular (their steps are undefined)."""
+    try:
+        return np.linalg.solve(hess, score[..., None])[..., 0], []
+    except np.linalg.LinAlgError:
+        if len(hess) == 1:
+            return np.empty_like(score), [0]
+    # one singular matrix fails the whole stacked solve: solve each alone
+    step = np.empty_like(score)
+    singular = []
+    for j in range(len(hess)):
+        try:
+            step[j] = np.linalg.solve(hess[j : j + 1], score[j : j + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular.append(j)
+    return step, singular
+
+
+def _singular_fit(xt: np.ndarray, score_norm: float, beta: np.ndarray) -> Exception:
+    """The error of a fit whose information matrix is singular."""
+    return _rank_deficiency(xt) or SeparationError(
+        f"singular information matrix with score norm {score_norm:.3e}; "
+        f"coefficient norm {np.max(np.abs(beta)):.3e}"
+    )
+
+
+def _converged_fit(xt, t, s, prob, beta, tol, ridge, clip):
+    """The model of a converged fit, or the error that rules it out."""
+    if ridge == 0.0:
+        # without a separating hyperplane some residual stays >= 0.5 at
+        # every beta, so a vanishing score with uniformly tiny residuals
+        # means the data are separated and no finite MLE exists
+        if np.max(np.abs(t - prob)) < 1e-3:
+            return SeparationError(
+                "perfectly classified sample (coefficient max-norm "
+                f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
+            )
+        # a non-zero slope whose index puts every row on its own arm's side
+        # (up to rounding) certifies quasi-complete separation: the score can
+        # fall below tol while the MLE lies at infinity (Albert & Anderson 1984)
+        if (beta[1:] != 0.0).any() and ((2.0 * t - 1.0) * s >= -tol * np.max(np.abs(s))).all():
+            return SeparationError(
+                "quasi-separated sample: the fitted index splits the arms "
+                f"(coefficient max-norm {np.max(np.abs(beta)):.3e}); no finite MLE exists"
+            )
+    try:
+        return PropensityModel(
+            Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=xt.shape[1] - 1
+        )
+    except ValidationError as exc:
+        return exc
+
+
+def _rank_deficiency(xt: np.ndarray) -> RankDeficiencyError | None:
+    """The error naming the first column of ``xt`` that is linearly
+    dependent on earlier ones, or ``None`` if there is none."""
     prev = 0
     for j in range(xt.shape[1]):
         r = np.linalg.matrix_rank(xt[:, : j + 1])
         if r == prev:
-            raise RankDeficiencyError(f"design column {j} is linearly dependent on earlier columns")
+            return RankDeficiencyError(
+                f"design column {j} is linearly dependent on earlier columns"
+            )
         prev = r
+    return None
 
 
 def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeModel:
@@ -296,11 +475,12 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
     n, p = x.shape
     if n < p + 1:
         raise ValidationError(f"need at least p+1={p + 1} rows, got {n}")
-    xt = np.column_stack([np.ones(n), x])
+    xt = _design(x)
     coef, _, rank, _ = np.linalg.lstsq(xt, y, rcond=None)
-    if rank < p + 1:
-        # locate the first dependent column only once the fit shows one exists
-        _raise_on_dependent_column(xt)
+    # locate the first dependent column only once the fit shows one exists
+    error = _rank_deficiency(xt) if rank < p + 1 else None
+    if error is not None:
+        raise error
     return OutcomeModel(Linear(float(coef[0]), coef[1:].copy()), arm=arm, n_features=p)
 
 

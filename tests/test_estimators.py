@@ -12,6 +12,8 @@ from riskratio import (
     EstimationError,
     ForestConfig,
     NuisanceRecipe,
+    RankDeficiencyError,
+    SeparationError,
     ValidationError,
     arm_functionals,
     constant_outcome,
@@ -25,7 +27,7 @@ from riskratio import (
     rr_neyman,
     rr_os,
 )
-from riskratio import trees
+from riskratio import nuisance, trees
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
 from riskratio.estimators import FoldPartition, fit_outcomes, fit_propensity
 from riskratio.nuisance import fit_forest_classifier, fit_forest_regressor
@@ -262,6 +264,62 @@ def test_crossfit_forests_grown_together_equal_per_fold_fits(k, propensity, outc
     expected = _per_fold_nuisances(d, folds, recipe)
     for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
         assert got.tobytes() == want.tobytes()
+
+
+# 151 rows leave fold complements of two sizes at every k here, so the
+# cross-fit solves its logistic problems in two stacks
+@pytest.mark.parametrize("outcome", ["ols", "forest"])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_crossfit_logistic_stacks_equal_per_fold_fits(monkeypatch, k, outcome):
+    d = generate(DGPSpec(kind="lunceford", n=151, seed=33)).dataset
+    recipe = NuisanceRecipe("logistic", outcome, forest=ForestConfig(n_trees=8, seed=34))
+    folds = make_folds(151, k, seed=35)
+    stacks = []
+    solve = nuisance.fit_logistic_stack
+
+    def recording(xt, t, **options):
+        stacks.append(xt.shape)
+        return solve(xt, t, **options)
+
+    monkeypatch.setattr(nuisance, "fit_logistic_stack", recording)
+    scores = crossfit_nuisances(d, folds, recipe)
+    assert scores.folds is folds
+    sizes = np.bincount(folds.assignment)[1:]
+    assert sorted(stacks) == sorted((int(np.sum(sizes == m)), 151 - m, 7) for m in set(sizes))
+    monkeypatch.undo()
+    expected = _per_fold_nuisances(d, folds, recipe)
+    for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def _faulty_folds(separated, constant):
+    """A sample whose propensity is separated on the complement of fold
+    ``separated`` and whose arm-0 outcome design is rank deficient on the
+    complement of fold ``constant``, with its three folds."""
+    base = generate(DGPSpec(kind="lunceford", n=151, seed=36)).dataset
+    folds = make_folds(151, 3, seed=37)
+    a, t = folds.assignment, base.t
+    side = np.where(t == 1, 1.0, -1.0)
+    split = np.where(a == separated, -side, side)  # separates the arms outside that fold
+    level = np.random.default_rng(38).normal(size=151)
+    level[(t == 0) & (a != constant)] = 1.0  # a second intercept for those controls
+    x = np.column_stack([base.x[:, :2], split, level])
+    return dataset_from(t=t, y=base.y, x=x), folds
+
+
+@pytest.mark.parametrize(
+    "separated, constant, error",
+    [(2, 1, RankDeficiencyError), (1, 2, SeparationError), (2, 2, SeparationError)],
+)
+def test_crossfit_logistic_failures_raise_in_per_fold_order(separated, constant, error):
+    # the first failure in fold order, a fold's propensity before its outcomes
+    d, folds = _faulty_folds(separated, constant)
+    recipe = NuisanceRecipe("logistic", "ols")
+    with pytest.raises(error) as per_fold:
+        _per_fold_nuisances(d, folds, recipe)
+    with pytest.raises(error) as together:
+        crossfit_nuisances(d, folds, recipe)
+    assert str(together.value) == str(per_fold.value)
 
 
 def test_crossfit_rejects_a_small_arm_before_growing_any_forest(monkeypatch):

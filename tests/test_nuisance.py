@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -23,7 +23,14 @@ from riskratio import (
 )
 from riskratio import nuisance
 from riskratio.dgp import DGPSpec, generate, oracle_models
-from riskratio.nuisance import Linear, Logistic, OutcomeModel, PropensityModel, expit
+from riskratio.nuisance import (
+    Linear,
+    Logistic,
+    OutcomeModel,
+    PropensityModel,
+    expit,
+    fit_logistic_stack,
+)
 
 
 def _score_norm(x, t, model):
@@ -57,6 +64,31 @@ def test_logistic_detects_perfect_separation():
     t = (x[:, 0] > 0).astype(int)
     with pytest.raises(SeparationError):
         fit_logistic_mle(x, t)
+
+
+def test_logistic_detects_quasi_separation():
+    # the tied rows at x = 0 keep their residuals at 0.5, so the score falls
+    # below tol at a finite slope while every other row is classified
+    x = np.array([[-2.0], [-1.0], [0.0], [0.0], [1.0], [2.0]])
+    with pytest.raises(SeparationError, match="quasi-separated"):
+        fit_logistic_mle(x, np.array([0, 0, 0, 1, 1, 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=2, max_size=12, unique=True),
+    st.lists(st.tuples(st.integers(0, 11), st.booleans()), max_size=10),
+)
+@example(values=[0, 1], extra=[])
+def test_quasi_separation_never_trips_when_every_x_has_both_labels(values, extra):
+    # each distinct x carries both labels, so no index separates the arms
+    # and the MLE is finite
+    rows = [(v, label) for v in values for label in (0, 1)]
+    rows += [(values[i % len(values)], int(label)) for i, label in extra]
+    x = np.array([[float(v)] for v, _ in rows])
+    t = np.array([label for _, label in rows])
+    model = fit_logistic_mle(x, t)
+    assert np.isfinite(model.surface.coef).all()
 
 
 def test_logistic_ridge_rescues_separated_data():
@@ -265,8 +297,8 @@ def _outlier_sample(seed, n=30):
     return x, t
 
 
-def _separated():
-    x = np.random.default_rng(1).normal(size=(200, 1))
+def _separated(n=200):
+    x = np.random.default_rng(1).normal(size=(n, 1))
     return x, (x[:, 0] > 0).astype(float)
 
 
@@ -339,3 +371,97 @@ def test_exhausted_line_search_matches_newton_oracle(monkeypatch):
     assert [c.hex() for c in got.surface.coef.tolist()] == [
         c.hex() for c in want.surface.coef.tolist()
     ]
+
+
+def _fit_or_error(fit):
+    """The hex of a fit's coefficients, or its error's class and message."""
+    if isinstance(fit, Exception):
+        return type(fit), str(fit)
+    return [fit.surface.intercept.hex()] + [c.hex() for c in fit.surface.coef.tolist()]
+
+
+def _fit_alone(x, t, **options):
+    try:
+        return _fit_or_error(fit_logistic_mle(x, t, **options))
+    except (ValidationError, RankDeficiencyError, SeparationError, ConvergenceError) as exc:
+        return _fit_or_error(exc)
+
+
+def _stack(problems):
+    xt = np.stack([np.column_stack([np.ones(len(t)), x]) for x, t in problems])
+    return xt, np.stack([np.asarray(t, dtype=float) for _, t in problems])
+
+
+def _overlapping(seed, n):
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(n, 1))
+    return x, (g.random(n) < expit(x[:, 0])).astype(float)
+
+
+def _quasi_separated(n):
+    x = np.linspace(-2.0, 2.0, n).reshape(-1, 1)
+    t = (x[:, 0] > 0).astype(float)
+    x[:2, 0] = 0.0
+    t[:2] = (0.0, 1.0)  # two tied rows on the boundary, one of each label
+    return x, t
+
+
+def _rank_deficient(n):
+    t = np.zeros(n)
+    t[: n // 3] = 1.0
+    return np.zeros((n, 1)), t
+
+
+# problems of one covariate at any row count n >= 12, as (x, t) makers
+_STACK_PROBLEMS = {
+    "overlap": lambda n: _overlapping(7, n),
+    "overlap 2": lambda n: _overlapping(8, n),
+    "overlap 3": lambda n: _overlapping(13, n),
+    "one halving": lambda n: _outlier_sample(83, n),
+    "26 halvings": lambda n: _outlier_sample(195, n),
+    "39 halvings": lambda n: _outlier_sample(3, n),
+    "stalled": lambda n: _outlier_sample(80, n),
+    "stalled 2": lambda n: _outlier_sample(229, n),
+    "stalled ridge": lambda n: _outlier_sample(43, n),
+    "separated": _separated,
+    "diverging": lambda n: (_separated(n)[0] * 1e-2, _separated(n)[1]),
+    "quasi-separated": _quasi_separated,
+    "rank deficient": _rank_deficient,
+    "one arm": lambda n: (np.ones((n, 1)), np.ones(n)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([30, 200]),
+    st.lists(st.sampled_from(sorted(_STACK_PROBLEMS)), min_size=1, max_size=6),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.sampled_from([3, 100]),
+)
+@example(n=30, names=["overlap", "rank deficient", "one halving"], ridge=0.0, max_iter=100)
+@example(n=30, names=["overlap", "26 halvings", "stalled", "39 halvings"], ridge=0.0, max_iter=100)
+@example(n=30, names=["stalled", "39 halvings", "stalled ridge"], ridge=0.1, max_iter=100)
+# after 5 iterations the first has stalled within 10 * tol and is accepted,
+# while the second still makes progress just above tol and is not
+@example(n=30, names=["stalled", "overlap 3"], ridge=0.0, max_iter=5)
+def test_stacked_logistic_fits_equal_fits_alone(n, names, ridge, max_iter):
+    problems = [_STACK_PROBLEMS[name](n) for name in names]
+    stacked = fit_logistic_stack(*_stack(problems), max_iter=max_iter, ridge=ridge)
+    alone = [_fit_alone(x, t, max_iter=max_iter, ridge=ridge) for x, t in problems]
+    assert [_fit_or_error(fit) for fit in stacked] == alone
+
+
+def test_a_singular_problem_in_a_stack_falls_back_to_solving_each_alone(monkeypatch):
+    # numpy raises for a whole stacked solve when one matrix is singular;
+    # that problem must get its own error and the others go on
+    problems = [_overlapping(7, 30), _rank_deficient(30), _outlier_sample(83)]
+    shapes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    stacked = [_fit_or_error(fit) for fit in fit_logistic_stack(*_stack(problems))]
+    assert shapes[:4] == [(3, 2, 2), (1, 2, 2), (1, 2, 2), (1, 2, 2)]
+    monkeypatch.undo()
+    assert stacked == [_fit_alone(x, t) for x, t in problems]
+    message = "design column 1 is linearly dependent on earlier columns"
+    assert stacked[1] == (RankDeficiencyError, message)
+    assert isinstance(stacked[0], list) and isinstance(stacked[2], list)
