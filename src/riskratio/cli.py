@@ -238,8 +238,8 @@ def cmd_estimate(cfg: dict) -> int:
     for idx, est_cfg in enumerate(configs):
         try:
             est = run_single(dataset, est_cfg, derive_seed(cfg["seed"], idx))
-        except EstimationError as exc:
-            raise EstimationError(f"{est_cfg.name}: {exc}") from exc
+        except (ValidationError, EstimationError) as exc:
+            raise type(exc)(f"{est_cfg.name}: {exc}") from exc
         rows.append(
             {
                 "estimator": est_cfg.name,

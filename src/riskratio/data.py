@@ -1,9 +1,10 @@
 """Immutable dataset container, validation, and CSV ingestion.
 
-The interchange format is a UTF-8 CSV with a mandatory header row
+The interchange format is a UTF-8 CSV with the fixed header row
 ``y,t,x1,...,xp`` and one observation per row: an outcome, a binary
-treatment indicator, and ``p`` numeric covariates.  A leading byte-order
-mark is skipped.  Non-finite values are rejected, never imputed.
+treatment indicator, and ``p`` numeric covariates, in that order.  A
+leading byte-order mark is skipped.  Non-finite values are rejected,
+never imputed.
 """
 
 from __future__ import annotations
@@ -16,15 +17,6 @@ import numpy as np
 from .errors import ValidationError
 
 _WRITE_BLOCK_ROWS = 1 << 12  # rows that write_csv and export_sample format at once
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column naming convention: outcome, treatment, covariate prefix."""
-
-    y: str = "y"
-    t: str = "t"
-    x_prefix: str = "x"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +111,8 @@ def summarize(d: ObservationalDataset) -> DatasetSummary:
     )
 
 
-def _expected_header(p: int, schema: CsvSchema) -> list[str]:
-    return [schema.y, schema.t] + [f"{schema.x_prefix}{j}" for j in range(1, p + 1)]
+def _expected_header(p: int) -> list[str]:
+    return ["y", "t"] + [f"x{j}" for j in range(1, p + 1)]
 
 
 def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
@@ -164,7 +156,7 @@ def _loadtxt_rows(fh, width: int) -> np.ndarray | None:
     return data
 
 
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
+def load_csv(path) -> ObservationalDataset:
     """Read a dataset from ``path``; errors name the offending row and column.
 
     After the header is checked, all data rows are parsed at once with
@@ -181,15 +173,12 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != schema.y or header[1] != schema.t:
-            raise ValidationError(
-                f"{path}: header must start with '{schema.y},{schema.t}', got {header[:2]}"
-            )
+        if header[:2] != ["y", "t"]:
+            raise ValidationError(f"{path}: header must start with 'y,t', got {header[:2]}")
         p = len(header) - 2
-        if header != _expected_header(p, schema):
+        if header != _expected_header(p):
             raise ValidationError(
-                f"{path}: covariate columns must be named "
-                f"{schema.x_prefix}1..{schema.x_prefix}{p} in order, got {header[2:]}"
+                f"{path}: covariate columns must be named x1..x{p} in order, got {header[2:]}"
             )
         data = _loadtxt_rows(fh, len(header))
         if data is not None:
@@ -219,7 +208,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
                 vals.append(v)
             if vals[1] not in (0.0, 1.0):
                 raise ValidationError(
-                    f"{path}: row {i}, column {schema.t}: treatment must be 0 or 1, got {row[1]!r}"
+                    f"{path}: row {i}, column t: treatment must be 0 or 1, got {row[1]!r}"
                 )
             y_rows.append(vals[0])
             t_rows.append(int(vals[1]))
@@ -230,7 +219,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
     return ObservationalDataset(x=x, t=np.asarray(t_rows), y=np.asarray(y_rows))
 
 
-def write_csv(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
+def write_csv(d: ObservationalDataset, path) -> None:
     """Write ``d`` to ``path``; floats use shortest round-trip formatting.
 
     Rows are formatted in blocks of ``_WRITE_BLOCK_ROWS`` (4096) rows, so
@@ -240,7 +229,7 @@ def write_csv(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) ->
     """
     row = ",".join(["%r", "%d"] + ["%r"] * d.p) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(_expected_header(d.p, schema))
+        csv.writer(fh).writerow(_expected_header(d.p))
         for lo in range(0, d.n, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
             cells = zip(d.y[lo:hi].tolist(), d.t[lo:hi].tolist(), *d.x[lo:hi].T.tolist())

@@ -160,19 +160,18 @@ def rr_ht(d: ObservationalDataset, e: float) -> RRPoint:
     return _ratio_point(num, den, "ht", notes=(NOTE_CONSTANT_PROPENSITY,))
 
 
-def rr_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> RRPoint:
-    """Inverse weighting by the estimated propensity ``e_hat``."""
-    e = e_hat.predict(d.x)
+def rr_ipw(d: ObservationalDataset, e: np.ndarray) -> RRPoint:
+    """Inverse weighting by estimated propensities ``e``, one per row of ``d``."""
     t = d.t.astype(float)
     num = float(np.mean(t * d.y / e))
     den = float(np.mean((1.0 - t) * d.y / (1.0 - e)))
     return _ratio_point(num, den, "ipw")
 
 
-def rr_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> RRPoint:
-    """Ratio of outcome-surface predictions averaged over all rows."""
-    num = float(mu1.predict(d.x).mean())
-    den = float(mu0.predict(d.x).mean())
+def rr_g(mu0: np.ndarray, mu1: np.ndarray) -> RRPoint:
+    """Ratio of the averaged outcome-surface predictions ``mu1`` and ``mu0``."""
+    num = float(mu1.mean())
+    den = float(mu0.mean())
     return _ratio_point(num, den, "g")
 
 

@@ -33,9 +33,8 @@ import numpy as np
 from .data import ObservationalDataset
 from .errors import ValidationError
 from .estimators import CrossfitScores, RRPoint, _ratio_point, rr_ht, rr_neyman
-from .nuisance import OutcomeModel, PropensityModel
+from .nuisance import PropensityModel
 
-FLAG_VARIANCE_CLAMPED = "variance-clamped-to-zero"
 _EPS_OPEN_INTERVAL = 1e-12  # clamp for optimal-e boundary cases
 
 _STANDARD_NORMAL = NormalDist()
@@ -61,6 +60,8 @@ class RREstimate:
 
     ``v_hat`` estimates the asymptotic variance ``V`` (standard error is
     ``sqrt(v_hat / n)``).  Degenerate points carry no variance or interval.
+    ``flags`` says why a valid point has no interval (see
+    ``montecarlo.run_single``).
     """
 
     point: RRPoint
@@ -134,8 +135,8 @@ def _ipw_moments(d: ObservationalDataset, e: np.ndarray):
     return t, den1, den0, tau * tau * (num1 / den1**2 + num0 / den0**2)
 
 
-def var_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> float:
-    """Variance of the propensity-weighted ratio.
+def var_ipw(d: ObservationalDataset, e: np.ndarray) -> float:
+    """Variance of the propensity-weighted ratio at propensities ``e``, one per row.
 
     Second moments are weighted sample means of ``(y / e)^2`` over the
     treated arm (and the mirrored control version); the normalisers are
@@ -143,7 +144,7 @@ def var_ipw(d: ObservationalDataset, e_hat: PropensityModel) -> float:
     estimate.  With a constant propensity equal to the empirical treated
     share this reduces exactly to ``var_ht`` at that share.
     """
-    return _ipw_moments(d, e_hat.predict(d.x))[3]
+    return _ipw_moments(d, e)[3]
 
 
 def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> float:
@@ -169,12 +170,12 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
     return v_ipw - correction
 
 
-def var_g(d: ObservationalDataset, mu0: OutcomeModel, mu1: OutcomeModel) -> float:
-    """Variance of the outcome-surface ratio via per-row contrasts."""
+def var_g(d: ObservationalDataset, mu0: np.ndarray, mu1: np.ndarray) -> float:
+    """Variance of the outcome-surface ratio via per-row contrasts of the
+    predictions ``mu0`` and ``mu1`` on the rows of ``d``."""
     _, _, ybar1, ybar0 = _arm_moments(d)
-    pred1, pred0 = mu1.predict(d.x), mu0.predict(d.x)
-    delta = pred1 / ybar1 - pred0 / ybar0
-    tau = _ratio_point(float(pred1.mean()), float(pred0.mean()), "g").value
+    delta = mu1 / ybar1 - mu0 / ybar0
+    tau = _ratio_point(float(mu1.mean()), float(mu0.mean()), "g").value
     return tau * tau * float(np.mean((delta - delta.mean()) ** 2))
 
 
@@ -283,16 +284,12 @@ def attach_interval(
 ) -> RREstimate:
     """Bundle a point estimate with its variance and its ``INTERVALS[ci_style]`` interval.
 
-    Degenerate points get no variance or interval.  A (numerically) tiny
-    negative variance is clamped to zero and flagged.
+    Degenerate points get no variance or interval.  A negative variance
+    raises the interval's :class:`ValidationError`.
     """
     check_alpha(alpha)
     check_ci_style(ci_style)
     if point.degenerate:
         return RREstimate(point, None, None, None, alpha, ci_style, n)
-    flags: tuple[str, ...] = ()
-    if v_hat is not None and v_hat < 0.0:
-        v_hat = 0.0
-        flags = (FLAG_VARIANCE_CLAMPED,)
     lower, upper = INTERVALS[ci_style](point.value, v_hat, n, alpha)
-    return RREstimate(point, v_hat, lower, upper, alpha, ci_style, n, flags)
+    return RREstimate(point, v_hat, lower, upper, alpha, ci_style, n)

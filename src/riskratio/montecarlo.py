@@ -11,11 +11,15 @@ identical reports and replications can be re-aggregated after the fact.
 stages look the estimators up in this module's globals when called, so
 rebinding one here (as a per-layer tracer does) reaches every call.
 
-Failure policy: a replication where one estimator fails (separation, a
-rank-deficient fold, ...) is dropped for that estimator only and counted
-in ``n_failed``.  Degenerate results (zero-denominator fallback) keep
-their point value of 0 in the moment statistics but are excluded from
-coverage and interval-length averages, whose denominator is reported.
+Failure policy: a replication where one estimator's fit or point fails
+(separation, a rank-deficient fold, ...) is dropped for that estimator
+only and counted in ``n_failed``.  A valid point whose variance or
+interval fails (a log-scale interval of a negative point, ...) keeps its
+place in the moment statistics, carries no interval and a flag naming the
+cause, and is left out of coverage and interval length.  Degenerate
+results (zero-denominator fallback) keep their point value of 0 in the
+moment statistics but are excluded from coverage and interval-length
+averages, whose denominator is reported.
 """
 
 from __future__ import annotations
@@ -70,20 +74,21 @@ def _crossfit(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, recipe):
     return crossfit_nuisances(d, folds, recipe)
 
 
-# fit(d, cfg, seed, recipe), point(d, cfg, nuisances), variance(d, cfg, nuisances, point)
+# fit(d, cfg, seed, recipe), point(d, cfg, nuisances), variance(d, cfg, nuisances, point);
+# the nuisances of ipw and g are their models' predictions on d.x, made once
 _Stages = namedtuple("_Stages", "fit point variance")
 
 METHODS = {
     "neyman": _Stages(None, lambda d, c, e: rr_neyman(d), lambda d, c, e, p: var_neyman(d)),
     "ht": _Stages(None, lambda d, c, e: rr_ht(d, c.e), lambda d, c, e, p: var_ht(d, c.e)),
     "ipw": _Stages(
-        lambda d, c, s, r: fit_propensity(d.x, d.t, r),
+        lambda d, c, s, r: fit_propensity(d.x, d.t, r).predict(d.x),
         lambda d, c, e: rr_ipw(d, e),
         lambda d, c, e, p: var_ipw(d, e),
     ),
     "g": _Stages(
-        lambda d, c, s, r: fit_outcomes(d.x, d.t, d.y, r),
-        lambda d, c, e: rr_g(d, *e),
+        lambda d, c, s, r: [mu.predict(d.x) for mu in fit_outcomes(d.x, d.t, d.y, r)],
+        lambda d, c, e: rr_g(*e),
         lambda d, c, e, p: var_g(d, *e),
     ),
     "os": _Stages(
@@ -237,13 +242,26 @@ def _recipe(cfg: EstimatorConfig, seed: int, oracle) -> NuisanceRecipe:
 
 
 def run_single(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle=None) -> RREstimate:
-    """Evaluate one estimator configuration on one dataset, stage by stage."""
+    """Evaluate one estimator configuration on one dataset, stage by stage.
+
+    Errors of the fit and point stages propagate.  A :class:`ValidationError`
+    of the variance or interval stage keeps the point, and the variance if
+    one was computed, with no interval and the flag
+    ``"variance-failed: <message>"`` or ``"interval-failed: <message>"``.
+    """
     cfg.validate()
     fit, point_of, variance_of = METHODS[cfg.method]
     nuisances = None if fit is None else fit(d, cfg, seed, _recipe(cfg, seed, oracle))
     point = point_of(d, cfg, nuisances)
-    v = None if point.degenerate else variance_of(d, cfg, nuisances, point)
-    return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style)
+    v, stage = None, "variance"
+    try:
+        if not point.degenerate:
+            v = variance_of(d, cfg, nuisances, point)
+        stage = "interval"
+        return attach_interval(point, v, d.n, cfg.alpha, cfg.ci_style)
+    except ValidationError as exc:
+        flag = f"{stage}-failed: {exc}"
+        return RREstimate(point, v, None, None, cfg.alpha, cfg.ci_style, d.n, (flag,))
 
 
 def _one_replication(

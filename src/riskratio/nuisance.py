@@ -9,7 +9,7 @@ A model is a *surface*, a callable from an ``(n, p)`` covariate matrix to
   squares for outcome surfaces;
 * :class:`Logistic`: ``expit`` of a linear index, fitted by logistic
   maximum likelihood for the propensity score (Newton-Raphson with
-  step-halving; unpenalised by default, optional ridge rescue).  One
+  step-halving, unpenalised; separated samples raise).  One
   Newton loop, :func:`fit_logistic_stack`, solves a stack of problems of
   equal shape at once; :func:`fit_logistic_mle` is its one-problem call,
   and :func:`fit_logistic_subsets` stacks the fits of many row subsets
@@ -178,14 +178,10 @@ def constant_outcome(value: float, arm: int | None = None) -> OutcomeModel:
     return OutcomeModel(Constant(float(value)), arm=arm)
 
 
-def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, beta: np.ndarray, ridge: float):
+def _neg_log_likelihood(s: np.ndarray, t: np.ndarray):
     """Mean negative log-likelihood of each problem of a stack, one per row of ``s``."""
     terms = np.logaddexp(0.0, s) - t * s
-    nll = np.add.reduce(terms, axis=-1) / terms.shape[-1]  # np.mean's sum, then its divide
-    if ridge > 0.0:
-        b = beta[..., 1:]
-        nll = nll + 0.5 * ridge * (b[..., None, :] @ b[..., :, None])[..., 0, 0]
-    return nll
+    return np.add.reduce(terms, axis=-1) / terms.shape[-1]  # np.mean's sum, then its divide
 
 
 def _design(x: np.ndarray) -> np.ndarray:
@@ -197,11 +193,11 @@ def _design(x: np.ndarray) -> np.ndarray:
     return xt
 
 
-def _evaluate(xt: np.ndarray, t: np.ndarray, beta: np.ndarray, ridge: float):
+def _evaluate(xt: np.ndarray, t: np.ndarray, beta: np.ndarray):
     """Linear indices ``(K, n)`` and likelihoods ``(K,)`` of a stack at ``beta``."""
     s = np.matmul(xt, beta[..., None])[..., 0]
     nll = np.empty(len(beta))
-    nll[:] = _neg_log_likelihood(s, t, beta, ridge)
+    nll[:] = _neg_log_likelihood(s, t)
     return s, nll
 
 
@@ -210,22 +206,21 @@ def fit_logistic_mle(
     t: np.ndarray,
     tol: float = LOGISTIC_TOL,
     max_iter: int = LOGISTIC_MAX_ITER,
-    ridge: float = 0.0,
     clip: float = DEFAULT_CLIP,
 ) -> PropensityModel:
     """Maximum-likelihood logistic regression of ``t`` on ``(1, x)``.
 
-    Newton-Raphson with step-halving on the (optionally ridge-penalised)
-    negative log-likelihood.  Convergence means the mean score
-    ``(1/n) sum x~_i (t_i - p_i)`` has max-norm at most ``tol``.  This is
-    the one-problem call of :func:`fit_logistic_stack`.
+    Newton-Raphson with step-halving on the negative log-likelihood.
+    Convergence means the mean score ``(1/n) sum x~_i (t_i - p_i)`` has
+    max-norm at most ``tol``.  This is the one-problem call of
+    :func:`fit_logistic_stack`.
 
     Raises:
         RankDeficiencyError: the design ``(1, x)`` is column-rank deficient;
             the message names the first offending column (0 = intercept).
         SeparationError: the coefficients diverge, so the score cannot
-            vanish (perfect or quasi-perfect separation), or, unpenalised,
-            the converged linear index weakly separates the two arms.
+            vanish (perfect or quasi-perfect separation), or the converged
+            linear index weakly separates the two arms.
         ConvergenceError: ``max_iter`` exhausted with the score max-norm
             above ``tol`` (above ``10 * tol`` if the last step could not
             lower the likelihood); reports the final score norm.
@@ -233,7 +228,7 @@ def fit_logistic_mle(
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     xt = _design(x)
-    (fit,) = fit_logistic_stack(xt[None], t[None], tol, max_iter, ridge, clip)
+    (fit,) = fit_logistic_stack(xt[None], t[None], tol, max_iter, clip)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -244,7 +239,6 @@ def fit_logistic_stack(
     t: np.ndarray,
     tol: float = LOGISTIC_TOL,
     max_iter: int = LOGISTIC_MAX_ITER,
-    ridge: float = 0.0,
     clip: float = DEFAULT_CLIP,
 ) -> list:
     """Solve a stack of logistic problems in one Newton loop.
@@ -276,15 +270,12 @@ def fit_logistic_stack(
         return fits
     if ids.size < k:
         xt, t = xt[ids], t[ids]
-    penalty = np.zeros(q)
-    if ridge > 0.0:
-        penalty[1:] = ridge
     beta = np.zeros((ids.size, q))
-    s, nll = _evaluate(xt, t, beta, ridge)
+    s, nll = _evaluate(xt, t, beta)
     progress = np.ones(ids.size, dtype=bool)
     for it in range(max_iter + 1):
         prob = expit(s)
-        score = np.matmul(xt.transpose(0, 2, 1), (t - prob)[..., None])[..., 0] / n - penalty * beta
+        score = np.matmul(xt.transpose(0, 2, 1), (t - prob)[..., None])[..., 0] / n
         score_norm = np.abs(score).max(axis=1)
         # at the rounding floor an accepted step can leave the likelihood
         # unchanged, so the score stops shrinking just above tol; once the
@@ -296,7 +287,7 @@ def fit_logistic_stack(
             ends = {}
             for j in np.flatnonzero(done | (it == max_iter)):
                 if done[j]:
-                    ends[j] = _converged_fit(xt[j], t[j], s[j], prob[j], beta[j], tol, ridge, clip)
+                    ends[j] = _converged_fit(xt[j], t[j], s[j], prob[j], beta[j], tol, clip)
                 else:
                     ends[j] = ConvergenceError(
                         f"no convergence after {max_iter} iterations; "
@@ -308,7 +299,7 @@ def fit_logistic_stack(
             if ids.size == 0:
                 break
         w = prob * (1.0 - prob)
-        hess = np.matmul((xt * w[..., None]).transpose(0, 2, 1), xt) / n + np.diag(penalty)
+        hess = np.matmul((xt * w[..., None]).transpose(0, 2, 1), xt) / n
         step, singular = _newton_steps(hess, score)
         if singular:
             ends = {j: _singular_fit(xt[j], score_norm[j], beta[j]) for j in singular}
@@ -316,7 +307,7 @@ def fit_logistic_stack(
             if ids.size == 0:
                 break
         cand = beta + step
-        s_cand, nll_cand = _evaluate(xt, t, cand, ridge)
+        s_cand, nll_cand = _evaluate(xt, t, cand)
         accepted = nll_cand <= nll
         if not accepted.all():
             for j in np.flatnonzero(~accepted):
@@ -327,13 +318,13 @@ def fit_logistic_stack(
                 for _ in range(39):
                     lam *= 0.5
                     c = beta[rows] + lam * step[rows]
-                    sc, nc = _evaluate(xt[rows], t[rows], c, ridge)
+                    sc, nc = _evaluate(xt[rows], t[rows], c)
                     if nc[0] <= nll[j]:
                         break
                 else:
                     lam *= 0.5
                     c = beta[rows] + lam * step[rows]
-                    sc, nc = _evaluate(xt[rows], t[rows], c, ridge)
+                    sc, nc = _evaluate(xt[rows], t[rows], c)
                 cand[j], s_cand[j], nll_cand[j] = c[0], sc[0], nc[0]
         progress = nll_cand < nll
         beta, s, nll = cand, s_cand, nll_cand
@@ -422,25 +413,24 @@ def _singular_fit(xt: np.ndarray, score_norm: float, beta: np.ndarray) -> Except
     )
 
 
-def _converged_fit(xt, t, s, prob, beta, tol, ridge, clip):
+def _converged_fit(xt, t, s, prob, beta, tol, clip):
     """The model of a converged fit, or the error that rules it out."""
-    if ridge == 0.0:
-        # without a separating hyperplane some residual stays >= 0.5 at
-        # every beta, so a vanishing score with uniformly tiny residuals
-        # means the data are separated and no finite MLE exists
-        if np.max(np.abs(t - prob)) < 1e-3:
-            return SeparationError(
-                "perfectly classified sample (coefficient max-norm "
-                f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
-            )
-        # a non-zero slope whose index puts every row on its own arm's side
-        # (up to rounding) certifies quasi-complete separation: the score can
-        # fall below tol while the MLE lies at infinity (Albert & Anderson 1984)
-        if (beta[1:] != 0.0).any() and ((2.0 * t - 1.0) * s >= -tol * np.max(np.abs(s))).all():
-            return SeparationError(
-                "quasi-separated sample: the fitted index splits the arms "
-                f"(coefficient max-norm {np.max(np.abs(beta)):.3e}); no finite MLE exists"
-            )
+    # without a separating hyperplane some residual stays >= 0.5 at every
+    # beta, so a vanishing score with uniformly tiny residuals means the
+    # data are separated and no finite MLE exists
+    if np.max(np.abs(t - prob)) < 1e-3:
+        return SeparationError(
+            "perfectly classified sample (coefficient max-norm "
+            f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
+        )
+    # a non-zero slope whose index puts every row on its own arm's side (up
+    # to rounding) certifies quasi-complete separation: the score can fall
+    # below tol while the MLE lies at infinity (Albert & Anderson 1984)
+    if (beta[1:] != 0.0).any() and ((2.0 * t - 1.0) * s >= -tol * np.max(np.abs(s))).all():
+        return SeparationError(
+            "quasi-separated sample: the fitted index splits the arms "
+            f"(coefficient max-norm {np.max(np.abs(beta)):.3e}); no finite MLE exists"
+        )
     try:
         return PropensityModel(
             Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=xt.shape[1] - 1

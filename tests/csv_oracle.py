@@ -16,11 +16,11 @@ import csv
 
 import numpy as np
 
-from riskratio.data import CsvSchema, ObservationalDataset, _expected_header
+from riskratio.data import ObservationalDataset, _expected_header
 from riskratio.errors import ValidationError
 
 
-def load_csv_oracle(path, schema: CsvSchema = CsvSchema()) -> ObservationalDataset:
+def load_csv_oracle(path) -> ObservationalDataset:
     """Read a dataset from ``path``; errors name the offending row and column.
 
     Rows are numbered from 1, counting data rows only (the header is row 0).
@@ -32,15 +32,12 @@ def load_csv_oracle(path, schema: CsvSchema = CsvSchema()) -> ObservationalDatas
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != schema.y or header[1] != schema.t:
-            raise ValidationError(
-                f"{path}: header must start with '{schema.y},{schema.t}', got {header[:2]}"
-            )
+        if len(header) < 2 or header[0] != "y" or header[1] != "t":
+            raise ValidationError(f"{path}: header must start with 'y,t', got {header[:2]}")
         p = len(header) - 2
-        if header != _expected_header(p, schema):
+        if header != _expected_header(p):
             raise ValidationError(
-                f"{path}: covariate columns must be named "
-                f"{schema.x_prefix}1..{schema.x_prefix}{p} in order, got {header[2:]}"
+                f"{path}: covariate columns must be named x1..x{p} in order, got {header[2:]}"
             )
         y_rows: list[float] = []
         t_rows: list[int] = []
@@ -65,7 +62,7 @@ def load_csv_oracle(path, schema: CsvSchema = CsvSchema()) -> ObservationalDatas
                 vals.append(v)
             if vals[1] not in (0.0, 1.0):
                 raise ValidationError(
-                    f"{path}: row {i}, column {schema.t}: treatment must be 0 or 1, got {row[1]!r}"
+                    f"{path}: row {i}, column t: treatment must be 0 or 1, got {row[1]!r}"
                 )
             y_rows.append(vals[0])
             t_rows.append(int(vals[1]))
@@ -76,11 +73,11 @@ def load_csv_oracle(path, schema: CsvSchema = CsvSchema()) -> ObservationalDatas
     return ObservationalDataset(x=x, t=np.asarray(t_rows), y=np.asarray(y_rows))
 
 
-def write_csv_oracle(d: ObservationalDataset, path, schema: CsvSchema = CsvSchema()) -> None:
+def write_csv_oracle(d: ObservationalDataset, path) -> None:
     """Write ``d`` to ``path``; floats use shortest round-trip formatting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_expected_header(d.p, schema))
+        writer.writerow(_expected_header(d.p))
         writer.writerows(
             [repr(y), t, *map(repr, x)]
             for y, t, x in zip(d.y.tolist(), d.t.tolist(), d.x.tolist())

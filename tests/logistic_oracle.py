@@ -31,11 +31,8 @@ def expit(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, beta, ridge: float) -> float:
-    nll = float(np.mean(np.logaddexp(0.0, s) - t * s))
-    if ridge > 0.0:
-        nll += 0.5 * ridge * float(beta[1:] @ beta[1:])
-    return nll
+def _neg_log_likelihood(s: np.ndarray, t: np.ndarray) -> float:
+    return float(np.mean(np.logaddexp(0.0, s) - t * s))
 
 
 def fit_logistic_oracle(
@@ -43,14 +40,13 @@ def fit_logistic_oracle(
     t: np.ndarray,
     tol: float = LOGISTIC_TOL,
     max_iter: int = LOGISTIC_MAX_ITER,
-    ridge: float = 0.0,
     clip: float = DEFAULT_CLIP,
 ) -> PropensityModel:
     """Maximum-likelihood logistic regression of ``t`` on ``(1, x)``.
 
-    Newton-Raphson with step-halving on the (optionally ridge-penalised)
-    negative log-likelihood.  Convergence means the mean score
-    ``(1/n) sum x~_i (t_i - p_i)`` has max-norm at most ``tol``.
+    Newton-Raphson with step-halving on the negative log-likelihood.
+    Convergence means the mean score ``(1/n) sum x~_i (t_i - p_i)`` has
+    max-norm at most ``tol``.
 
     Raises:
         SeparationError: the coefficients diverge, so the score cannot
@@ -67,19 +63,16 @@ def fit_logistic_oracle(
         raise ValidationError("both treatment arms must be non-empty")
     xt = np.column_stack([np.ones(n), x])
     beta = np.zeros(p + 1)
-    penalty = np.zeros(p + 1)
-    if ridge > 0.0:
-        penalty[1:] = ridge
     s = xt @ beta
-    nll = _neg_log_likelihood(s, t, beta, ridge)
+    nll = _neg_log_likelihood(s, t)
     for _ in range(max_iter):
         prob = expit(s)
-        score = xt.T @ (t - prob) / n - penalty * beta
+        score = xt.T @ (t - prob) / n
         if np.max(np.abs(score)) <= tol:
             # without a separating hyperplane some residual stays >= 0.5 at
             # every beta, so a vanishing score with uniformly tiny residuals
             # means the data are separated and no finite MLE exists
-            if ridge == 0.0 and np.max(np.abs(t - prob)) < 1e-3:
+            if np.max(np.abs(t - prob)) < 1e-3:
                 raise SeparationError(
                     "perfectly classified sample (coefficient max-norm "
                     f"{np.max(np.abs(beta)):.3e}); no finite MLE exists"
@@ -88,7 +81,7 @@ def fit_logistic_oracle(
                 Logistic(float(beta[0]), beta[1:].copy()), clip=clip, n_features=p
             )
         w = prob * (1.0 - prob)
-        hess = (xt * w[:, None]).T @ xt / n + np.diag(penalty)
+        hess = (xt * w[:, None]).T @ xt / n
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
@@ -100,20 +93,20 @@ def fit_logistic_oracle(
         for _ in range(40):
             cand = beta + lam * step
             s_cand = xt @ cand
-            nll_cand = _neg_log_likelihood(s_cand, t, cand, ridge)
+            nll_cand = _neg_log_likelihood(s_cand, t)
             if nll_cand <= nll:
                 break
             lam *= 0.5
         beta = beta + lam * step
         s = xt @ beta
-        nll = _neg_log_likelihood(s, t, beta, ridge)
+        nll = _neg_log_likelihood(s, t)
         if np.max(np.abs(beta)) > _SEPARATION_NORM:
             raise SeparationError(
                 f"diverging coefficients (max |beta| = {np.max(np.abs(beta)):.3e}); "
                 "data are (quasi-)separated"
             )
     prob = expit(xt @ beta)
-    score_norm = float(np.max(np.abs(xt.T @ (t - prob) / n - penalty * beta)))
+    score_norm = float(np.max(np.abs(xt.T @ (t - prob) / n)))
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations; score max-norm {score_norm:.3e}"
     )

@@ -44,7 +44,7 @@ def test_c01_ipw_collapses_to_arm_means_ratio():
     for seed in range(1000):
         d = random_dataset(seed)
         model = constant_propensity(d.n1 / d.n, clip=1e-9)
-        gap = abs(rr_ipw(d, model).value - rr_neyman(d).value)
+        gap = abs(rr_ipw(d, model.predict(d.x)).value - rr_neyman(d).value)
         worst = max(worst, gap / max(1.0, abs(rr_neyman(d).value)))
     _check(
         "c01 weighted/arm-means collapse",

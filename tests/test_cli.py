@@ -75,6 +75,37 @@ class TestEstimate:
         assert code == 3
         assert "ipw" in capsys.readouterr().err
 
+    def test_fit_validation_error_names_the_estimator(self, tmp_path, capsys):
+        # OLS on two covariates needs three rows per arm; the treated arm has two
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "y,t,x1,x2\n2.0,1,0.1,1.0\n4.0,1,0.4,0.0\n1.0,0,0.2,1.0\n3.0,0,0.3,0.0\n"
+            "5.0,0,0.5,2.0\n",
+            encoding="utf-8",
+        )
+        code = main(["estimate", "--input", str(path), "--out", str(tmp_path / "o"),
+                     "--estimators", "neyman,g"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: parametric_g: need at least p+1=3 rows, got 2\n"
+        assert not (tmp_path / "o" / "report.csv").exists()
+
+    def test_failed_interval_keeps_the_point_in_the_report(self, tmp_path):
+        # the control outcomes are negative, so the arm-means ratio is -1.5 and
+        # has no log-scale interval
+        path = tmp_path / "negative.csv"
+        path.write_text(
+            "y,t,x1\n2.0,1,0.1\n4.0,1,0.4\n-1.0,0,0.2\n-3.0,0,0.3\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["estimate", "--input", str(path), "--out", str(out),
+                     "--estimators", "neyman", "--ci-style", "log_delta"])
+        assert code == 0
+        row = _read_report(out)["neyman"]
+        assert float(row["point"]) == -1.5 and float(row["se"]) > 0.0
+        assert row["ci_lower"] == row["ci_upper"] == ""
+        message = "log-scale interval needs a positive point estimate"
+        assert row["flags"].split(";")[0] == f"interval-failed: {message}"
+
     def test_unknown_estimator_rejected(self, tmp_path):
         code = main(
             ["estimate", "--input", str(_write_toy_csv(tmp_path)),

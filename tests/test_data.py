@@ -137,20 +137,6 @@ def test_binary_outcome_flag():
     assert not random_dataset(4).binary_outcome
 
 
-def test_custom_schema_round_trip(tmp_path):
-    from riskratio import CsvSchema
-
-    schema = CsvSchema(y="outcome", t="treated", x_prefix="cov")
-    d = random_dataset(5, n=12, p=2)
-    path = tmp_path / "custom.csv"
-    write_csv(d, path, schema=schema)
-    assert path.read_text(encoding="utf-8").startswith("outcome,treated,cov1,cov2")
-    back = load_csv(path, schema=schema)
-    assert np.array_equal(back.y, d.y)
-    with pytest.raises(ValidationError):
-        load_csv(path)  # default schema does not match
-
-
 def test_load_csv_skips_byte_order_mark(tmp_path):
     d = random_dataset(6, n=25, p=2)
     plain = tmp_path / "plain.csv"

@@ -310,7 +310,8 @@ class TestOracleModels:
 
         _, mu0, mu1 = oracle_models("linear_rct")
         sample = generate(DGPSpec(kind="linear_rct", n=100_000, seed=13))
-        assert rr_g(sample.dataset, mu0, mu1).value == pytest.approx(2.0, abs=0.02)
+        x = sample.dataset.x
+        assert rr_g(mu0.predict(x), mu1.predict(x)).value == pytest.approx(2.0, abs=0.02)
 
     def test_randomised_designs_have_constant_half_propensity(self):
         for kind in ("linear_rct", "nonlinear_rct"):

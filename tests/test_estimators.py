@@ -87,12 +87,13 @@ class TestIPW:
         for seed in range(30):
             d = random_dataset(seed + 100)
             model = constant_propensity(d.n1 / d.n, clip=1e-9)
-            assert rr_ipw(d, model).value == pytest.approx(rr_neyman(d).value, abs=1e-12)
+            value = rr_ipw(d, model.predict(d.x)).value
+            assert value == pytest.approx(rr_neyman(d).value, abs=1e-12)
 
     def test_oracle_propensity_near_truth(self):
         sample = generate(DGPSpec(kind="lunceford", n=10_000, seed=21))
         e_model, _, _ = oracle_models("lunceford")
-        assert rr_ipw(sample.dataset, e_model).value == pytest.approx(
+        assert rr_ipw(sample.dataset, e_model.predict(sample.dataset.x)).value == pytest.approx(
             LUNCEFORD_TRUE_RR, abs=0.15
         )
 
@@ -100,14 +101,15 @@ class TestIPW:
         d = random_dataset(7)
         d = dataset_from(t=d.t, y=np.ones(d.n), x=d.x)
         model = constant_propensity(0.3)
-        value = rr_ipw(d, model).value
+        value = rr_ipw(d, model.predict(d.x)).value
         assert np.isfinite(value) and value > 0
 
 
 class TestGFormula:
     def test_constant_models(self):
         d = random_dataset(8)
-        assert rr_g(d, constant_outcome(1.0), constant_outcome(2.0)).value == 2.0
+        mu0, mu1 = constant_outcome(1.0).predict(d.x), constant_outcome(2.0).predict(d.x)
+        assert rr_g(mu0, mu1).value == 2.0
 
     def test_ols_on_linear_design(self):
         from riskratio import fit_ols
@@ -116,11 +118,11 @@ class TestGFormula:
         d = sample.dataset
         mu0 = fit_ols(d.x[d.t == 0], d.y[d.t == 0], arm=0)
         mu1 = fit_ols(d.x[d.t == 1], d.y[d.t == 1], arm=1)
-        assert rr_g(d, mu0, mu1).value == pytest.approx(2.0, abs=0.05)
+        assert rr_g(mu0.predict(d.x), mu1.predict(d.x)).value == pytest.approx(2.0, abs=0.05)
 
     def test_zero_baseline_degenerates(self):
         d = random_dataset(9)
-        point = rr_g(d, constant_outcome(0.0), constant_outcome(2.0))
+        point = rr_g(constant_outcome(0.0).predict(d.x), constant_outcome(2.0).predict(d.x))
         assert point.degenerate and point.value == 0.0
 
 
@@ -524,11 +526,12 @@ def test_scale_equivariance(y_base, scale, flip):
     assert rr_neyman(d_scaled).value == pytest.approx(rr_neyman(d).value, rel=1e-9)
     assert rr_ht(d_scaled, 0.4).value == pytest.approx(rr_ht(d, 0.4).value, rel=1e-9)
     model = constant_propensity(0.6)
-    assert rr_ipw(d_scaled, model).value == pytest.approx(rr_ipw(d, model).value, rel=1e-9)
+    e = model.predict(d.x)
+    assert rr_ipw(d_scaled, e).value == pytest.approx(rr_ipw(d, e).value, rel=1e-9)
     mu0, mu1 = constant_outcome(1.3), constant_outcome(2.1)
     mu0_s, mu1_s = constant_outcome(1.3 * scale), constant_outcome(2.1 * scale)
-    assert rr_g(d_scaled, mu0_s, mu1_s).value == pytest.approx(
-        rr_g(d, mu0, mu1).value, rel=1e-9
+    assert rr_g(mu0_s.predict(d.x), mu1_s.predict(d.x)).value == pytest.approx(
+        rr_g(mu0.predict(d.x), mu1.predict(d.x)).value, rel=1e-9
     )
 
 

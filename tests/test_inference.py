@@ -27,6 +27,7 @@ from riskratio import (
 )
 from riskratio.dgp import DGPSpec, generate, oracle_models
 from riskratio.estimators import CrossfitScores, FoldPartition, RRPoint
+from riskratio.inference import INTERVALS
 from riskratio.nuisance import Constant, Linear, Logistic, OutcomeModel, PropensityModel
 
 
@@ -140,13 +141,15 @@ class TestVarIPW:
             y[0] = y[-1] = 1.0
             d = dataset_from(t=t, y=y)
             model = constant_propensity(0.5, clip=1e-9)
-            assert var_ipw(d, model) == pytest.approx(var_ht(d, 0.5), rel=1e-12)
+            assert var_ipw(d, model.predict(d.x)) == pytest.approx(var_ht(d, 0.5), rel=1e-12)
 
     def test_empirical_share_constant_matches_ht_generally(self):
         for seed in range(40):
             d = random_dataset(seed + 300)
             model = constant_propensity(d.n1 / d.n, clip=1e-9)
-            assert var_ipw(d, model) == pytest.approx(var_ht(d, d.n1 / d.n), rel=1e-11)
+            assert var_ipw(d, model.predict(d.x)) == pytest.approx(
+                var_ht(d, d.n1 / d.n), rel=1e-11
+            )
 
     def test_six_row_hand_value(self):
         e_by_row = np.array([0.4, 0.5, 0.8, 0.7, 0.5, 0.4])
@@ -159,13 +162,14 @@ class TestVarIPW:
         den0 = (1 / 0.3 + 2 / 0.5 + 4 / 0.6) / 6
         tau = den1 / den0
         expected = tau**2 * (num1 / den1**2 + num0 / den0**2)
-        assert var_ipw(d, model) == pytest.approx(expected, rel=1e-12)
-        assert rr_ipw(d, model).value == pytest.approx(tau, rel=1e-12)
+        e = model.predict(d.x)
+        assert var_ipw(d, e) == pytest.approx(expected, rel=1e-12)
+        assert rr_ipw(d, e).value == pytest.approx(tau, rel=1e-12)
 
     def test_zero_weighted_arm_mean_errors(self):
         d = dataset_from(t=[1, 1, 0, 0], y=[1.0, -1.0, 2.0, 2.0])
         with pytest.raises(ValidationError, match="weighted arm mean is zero"):
-            var_ipw(d, constant_propensity(0.5))
+            var_ipw(d, constant_propensity(0.5).predict(d.x))
 
     def test_clipping_keeps_variance_finite(self):
         g = np.random.default_rng(5)
@@ -174,7 +178,7 @@ class TestVarIPW:
             t=(g.random(200) < 0.5).astype(int), y=g.uniform(0.5, 2.0, 200), x=x
         )
         extreme = PropensityModel(Logistic(0.0, np.array([50.0])), clip=0.01, n_features=1)
-        v = var_ipw(d, extreme)
+        v = var_ipw(d, extreme.predict(d.x))
         assert np.isfinite(v) and v >= 0.0
 
 
@@ -193,7 +197,7 @@ class TestVarIPWAdjusted:
         sample = generate(DGPSpec(kind="lunceford", n=4_000, seed=31))
         model = fit_logistic_mle(sample.dataset.x, sample.dataset.t)
         adjusted = var_ipw_mle_adjusted(sample.dataset, model)
-        plain = var_ipw(sample.dataset, model)
+        plain = var_ipw(sample.dataset, model.predict(sample.dataset.x))
         assert adjusted <= plain + 1e-9
         assert adjusted > 0.0
 
@@ -213,7 +217,7 @@ class TestVarG:
         d = random_dataset(11)
         mu0 = OutcomeModel(Constant(1.5))
         mu1 = OutcomeModel(Constant(3.0))
-        assert var_g(d, mu0, mu1) == pytest.approx(0.0, abs=1e-25)
+        assert var_g(d, mu0.predict(d.x), mu1.predict(d.x)) == pytest.approx(0.0, abs=1e-25)
 
     def test_no_effect_surfaces_reduce_to_scaled_prediction_variance(self):
         d = random_dataset(12, n=80)
@@ -223,7 +227,7 @@ class TestVarG:
         pred = shared.predict(d.x)
         tau = pred.mean() / pred.mean()
         expected = tau**2 * (1 / ybar1 - 1 / ybar0) ** 2 * np.mean((pred - pred.mean()) ** 2)
-        assert var_g(d, shared, shared) == pytest.approx(expected, rel=1e-10)
+        assert var_g(d, pred, pred) == pytest.approx(expected, rel=1e-10)
 
     def test_four_row_hand_value(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -233,7 +237,7 @@ class TestVarG:
         # arm means 3 and 2; deltas x/3 - (0.5 + 0.5 x)/2; tau = 2.5/1.75
         deltas = np.array([v / 3.0 - (0.5 + 0.5 * v) / 2.0 for v in (1.0, 2.0, 3.0, 4.0)])
         expected = (2.5 / 1.75) ** 2 * np.mean((deltas - deltas.mean()) ** 2)
-        assert var_g(d, mu0, mu1) == pytest.approx(expected, rel=1e-12)
+        assert var_g(d, mu0.predict(d.x), mu1.predict(d.x)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestVarOS:
@@ -406,8 +410,8 @@ class TestVarianceInvariants:
             for fn in (
                 var_neyman,
                 lambda dd: var_ht(dd, 0.3),
-                lambda dd: var_ipw(dd, model),
-                lambda dd: var_g(dd, mu0, mu1),
+                lambda dd: var_ipw(dd, model.predict(dd.x)),
+                lambda dd: var_g(dd, mu0.predict(dd.x), mu1.predict(dd.x)),
             ):
                 v, v_perm = fn(d), fn(shuffled)
                 assert v >= 0.0
@@ -460,11 +464,10 @@ class TestAttachInterval:
         log_est = attach_interval(RRPoint(2.0, "neyman"), 4.0, 100, ci_style="log_delta")
         assert 0.0 < log_est.ci_lower <= 2.0 <= log_est.ci_upper
 
-    def test_negative_variance_clamped_and_flagged(self):
-        est = attach_interval(RRPoint(2.0, "neyman"), -1e-12, 100)
-        assert est.v_hat == 0.0
-        assert est.flags
-        assert est.ci_lower == est.ci_upper == 2.0
+    def test_negative_variance_raises(self):
+        for ci_style in INTERVALS:
+            with pytest.raises(ValidationError, match="variance must be non-negative"):
+                attach_interval(RRPoint(2.0, "neyman"), -1e-12, 100, ci_style=ci_style)
 
     def test_katz_style_needs_dataset(self):
         with pytest.raises(ValidationError):

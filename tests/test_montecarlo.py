@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import dataset_from, random_dataset
 from riskratio import (
     EstimatorConfig,
     ExperimentPlan,
@@ -22,6 +22,7 @@ from riskratio import (
 from riskratio import montecarlo
 from riskratio.dgp import DGPSpec, generate
 from riskratio.montecarlo import MonteCarloReport, ReportCell
+from riskratio.nuisance import OutcomeModel, PropensityModel
 
 
 def small_plan(**overrides):
@@ -56,6 +57,22 @@ class TestRunSingle:
         d = random_dataset(2, n=60)
         with pytest.raises(ValidationError):
             run_single(d, EstimatorConfig(method="ht"), seed=1)
+
+    def test_failed_variance_keeps_the_point(self):
+        # the treated mean is 0: a valid ratio of 0 whose variance divides by it
+        d = dataset_from(t=[1, 1, 0, 0], y=[1.0, -1.0, 2.0, 2.0])
+        est = run_single(d, EstimatorConfig(method="neyman"), seed=1)
+        assert est.point.value == 0.0 and not est.point.degenerate
+        assert est.v_hat is None and est.ci_lower is None and est.ci_upper is None
+        assert est.flags == ("variance-failed: variance undefined: an arm mean is zero",)
+
+    def test_failed_interval_keeps_the_point_and_variance(self):
+        d = dataset_from(t=[1, 1, 0, 0], y=[2.0, 4.0, -1.0, -3.0])
+        est = run_single(d, EstimatorConfig(method="neyman", ci_style="log_delta"), seed=1)
+        assert est.point.value == -1.5
+        assert est.v_hat > 0.0 and est.ci_lower is None and est.ci_upper is None
+        message = "log-scale interval needs a positive point estimate"
+        assert est.flags == (f"interval-failed: {message}",)
 
     def test_neyman_log_delta_is_the_event_count_interval(self):
         # the crude ratio's event-count interval needs no style of its own
@@ -105,6 +122,22 @@ def test_run_single_calls_through_module_globals(monkeypatch, method):
     assert calls == Counter(_EXPECTED_CALLS[method])
 
 
+@pytest.mark.parametrize("method, predictions", [("ipw", 1), ("g", 2)])
+def test_full_sample_models_predict_once(monkeypatch, method, predictions):
+    # the fit stage predicts on d.x once; the point and the variance read those arrays
+    calls = Counter()
+    for cls in (PropensityModel, OutcomeModel):
+
+        def counting(self, x, predict=cls.predict):
+            calls[method] += 1
+            return predict(self, x)
+
+        monkeypatch.setattr(cls, "predict", counting)
+    d = generate(DGPSpec(kind="lunceford", n=200, seed=4)).dataset
+    run_single(d, EstimatorConfig(method=method), seed=1)
+    assert calls[method] == predictions
+
+
 class TestRunExperiment:
     def test_zero_noise_oracle_smoke(self):
         plan = small_plan(
@@ -136,6 +169,19 @@ class TestRunExperiment:
             assert cell.rmse**2 == pytest.approx(cell.bias**2 + cell.sd**2, rel=1e-9)
             assert 0.0 <= cell.coverage <= 1.0
             assert cell.coverage_denominator == cell.reps - cell.n_failed - cell.n_degenerate
+
+    def test_points_whose_intervals_fail_enter_the_moments(self):
+        # lunceford's arm-means ratio is negative in every replication here, so
+        # no log-scale interval exists; the points still count, with no coverage
+        plan = small_plan(
+            dgp_kind="lunceford",
+            sample_sizes=(500,),
+            estimators=(EstimatorConfig(method="neyman", ci_style="log_delta"),),
+        )
+        (cell,) = run_experiment(plan).cells
+        assert cell.n_failed == 0 and cell.coverage_denominator == 0
+        assert cell.mean_estimate < 0.0 and cell.sd > 0.0
+        assert cell.coverage is None and cell.mean_ci_length is None
 
     def test_failures_are_contained_per_estimator(self):
         # OLS needs p+1 = 7 rows per arm; at n = 12 that fails every time,
