@@ -81,36 +81,6 @@ class ObservationalDataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    n: int
-    n1: int
-    n0: int
-    p: int
-    y_mean_treated: float | None
-    y_mean_control: float | None
-
-
-def _sorted_mean(values: np.ndarray) -> float | None:
-    # summing in sorted order makes the result independent of row order
-    if values.size == 0:
-        return None
-    return float(np.sort(values).sum() / values.size)
-
-
-def summarize(d: ObservationalDataset) -> DatasetSummary:
-    """Counts and arm means; an empty arm reports its mean as None."""
-    treated = d.t == 1
-    return DatasetSummary(
-        n=d.n,
-        n1=d.n1,
-        n0=d.n0,
-        p=d.p,
-        y_mean_treated=_sorted_mean(d.y[treated]),
-        y_mean_control=_sorted_mean(d.y[~treated]),
-    )
-
-
 def _expected_header(p: int) -> list[str]:
     return ["y", "t"] + [f"x{j}" for j in range(1, p + 1)]
 

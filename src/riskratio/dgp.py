@@ -361,7 +361,8 @@ def oracle_models(kind: str) -> tuple[PropensityModel, OutcomeModel, OutcomeMode
 
     The surfaces are the ones :func:`generate` draws from, so on a generated
     sample the predictions equal ``e_true``, ``mu0_true`` and ``mu1_true``
-    exactly; the models pickle, and are of kind ``function``.
+    exactly; the surfaces are partials of module functions, so the models
+    pickle.
     """
     if kind not in KINDS:
         raise ValidationError(f"unknown DGP kind {kind!r}")

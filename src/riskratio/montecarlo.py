@@ -143,6 +143,8 @@ class EstimatorConfig:
 
 
 def validate_estimators(configs) -> None:
+    if not configs:
+        raise ValidationError("need at least one estimator")
     for cfg in configs:
         cfg.validate()
     names = [c.name for c in configs]
@@ -170,8 +172,6 @@ class ExperimentPlan:
             raise ValidationError("sample sizes must all be >= 10")
         if len(set(self.sample_sizes)) != len(self.sample_sizes):
             raise ValidationError(f"sample sizes must be distinct, got {self.sample_sizes}")
-        if not self.estimators:
-            raise ValidationError("plan needs at least one estimator")
         validate_estimators(self.estimators)
         for cfg in self.estimators:
             if METHODS[cfg.method].fit is _crossfit and cfg.k > min(self.sample_sizes):
@@ -350,44 +350,6 @@ def run_experiment(plan: ExperimentPlan) -> MonteCarloReport:
         true_rr=truth.value,
         cells=tuple(cells),
     )
-
-
-@dataclass(frozen=True)
-class RankedRow:
-    n: int
-    rank: int
-    estimator: str
-    abs_bias: float
-    rmse: float
-
-
-def compare_estimators(report: MonteCarloReport) -> list[RankedRow]:
-    """Rank estimators per sample size by |bias| then RMSE (stable ties).
-
-    Cells with no successful replication sort last, keeping input order.
-    """
-    rows: list[RankedRow] = []
-    for n in sorted({c.n for c in report.cells}):
-        cells = [c for c in report.cells if c.n == n]
-        ordered = sorted(
-            cells,
-            key=lambda c: (
-                c.bias is None,
-                abs(c.bias) if c.bias is not None else 0.0,
-                c.rmse if c.rmse is not None else 0.0,
-            ),
-        )
-        for rank, cell in enumerate(ordered, start=1):
-            rows.append(
-                RankedRow(
-                    n=n,
-                    rank=rank,
-                    estimator=cell.estimator,
-                    abs_bias=abs(cell.bias) if cell.bias is not None else float("nan"),
-                    rmse=cell.rmse if cell.rmse is not None else float("nan"),
-                )
-            )
-    return rows
 
 
 _METRIC_FIELDS = (

@@ -17,28 +17,14 @@ A model is a *surface*, a callable from an ``(n, p)`` covariate matrix to
   the cap of a forest batch;
 * :class:`~riskratio.trees.Forest`: bagged CART trees for both (see
   :mod:`riskratio.trees`);
-* any other callable, such as a known oracle surface (kind ``function``).
+* any other callable, such as a known oracle surface.
 
 Every propensity prediction is clipped to ``[clip, 1 - clip]`` so that no
 downstream estimator divides by a value outside that band.
-
-Models on the four named surfaces serialise to a JSON object
-``{"model": <kind>, "target": "propensity" | "outcome", ...}`` with
-``clip`` for a propensity and ``arm`` for an outcome; further fields per
-kind:
-
-* ``constant``: ``value``
-* ``logistic`` (propensity only), ``ols`` (outcome only): ``intercept``,
-  ``coef``
-* ``forest``: ``config``, ``n_features``, ``trees`` (flat node arrays
-  ``feature``, ``threshold``, ``left``, ``right``, ``value``)
-
-``function`` models do not serialise.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -58,8 +44,6 @@ from .trees import (
     ForestConfig,
     fit_forest,
     fit_forests,
-    forest_from_dict,
-    forest_to_dict,
 )
 
 DEFAULT_CLIP = 0.01
@@ -106,14 +90,6 @@ class Logistic(Linear):
         return expit(super().__call__(x))
 
 
-# serialisation tag of each surface type; any other callable is a "function"
-_KINDS = {Constant: "constant", Logistic: "logistic", Linear: "ols", Forest: "forest"}
-_TARGET_KINDS = {
-    "propensity": ("constant", "logistic", "forest"),
-    "outcome": ("constant", "ols", "forest"),
-}
-
-
 def _check_clip(clip: float) -> None:
     if not 0.0 < clip <= 0.5:
         raise ValidationError("clip must lie in (0, 1/2]")
@@ -130,10 +106,6 @@ class PropensityModel:
     def __post_init__(self):
         _check_clip(self.clip)
 
-    @property
-    def kind(self) -> str:
-        return _KINDS.get(type(self.surface), "function")
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         raw = np.asarray(self.surface(_as_matrix(x, self.n_features)), dtype=float)
         return np.clip(raw, self.clip, 1.0 - self.clip)
@@ -146,10 +118,6 @@ class OutcomeModel:
     surface: Callable[[np.ndarray], np.ndarray]
     arm: int | None = None
     n_features: int | None = None
-
-    @property
-    def kind(self) -> str:
-        return _KINDS.get(type(self.surface), "function")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.surface(_as_matrix(x, self.n_features)), dtype=float)
@@ -166,16 +134,6 @@ def _as_matrix(x: np.ndarray, n_features: int | None) -> np.ndarray:
             f"dimension mismatch: model expects {n_features} covariates, got {x.shape[1]}"
         )
     return x
-
-
-def constant_propensity(value: float, clip: float = DEFAULT_CLIP) -> PropensityModel:
-    if not 0.0 < value < 1.0:
-        raise ValidationError("constant propensity must lie in (0, 1)")
-    return PropensityModel(Constant(float(value)), clip=clip)
-
-
-def constant_outcome(value: float, arm: int | None = None) -> OutcomeModel:
-    return OutcomeModel(Constant(float(value)), arm=arm)
 
 
 def _neg_log_likelihood(s: np.ndarray, t: np.ndarray):
@@ -555,46 +513,3 @@ def fit_forest_classifier(
     """
     fit = forest_classifier_fit(x, t, cfg, clip)
     return fit.model(fit_forest(*fit.job))
-
-
-def model_to_json(model: PropensityModel | OutcomeModel) -> str:
-    """Serialise a model; ``function`` models are not serialisable."""
-    kind = model.kind
-    if kind == "function":
-        raise ValidationError("function-backed models cannot be serialised")
-    obj: dict = {"model": kind}
-    if isinstance(model, PropensityModel):
-        obj["target"] = "propensity"
-        obj["clip"] = model.clip
-    else:
-        obj["target"] = "outcome"
-        obj["arm"] = model.arm
-    surface = model.surface
-    if isinstance(surface, Constant):
-        obj["value"] = surface.value
-    elif isinstance(surface, Linear):
-        obj["intercept"] = surface.intercept
-        obj["coef"] = surface.coef.tolist()
-    else:
-        obj.update(forest_to_dict(surface))
-    return json.dumps(obj)
-
-
-def model_from_json(text: str) -> PropensityModel | OutcomeModel:
-    obj = json.loads(text)
-    kind = obj["model"]
-    target = obj["target"]
-    if kind not in _TARGET_KINDS.get(target, ()):
-        raise ValidationError(f"cannot deserialise model kind {kind!r} for {target!r}")
-    if kind == "constant":
-        surface, n_features = Constant(obj["value"]), None
-    elif kind == "forest":
-        surface = forest_from_dict(obj)
-        n_features = surface.n_features
-    else:
-        coef = np.asarray(obj["coef"], dtype=float)
-        surface = (Logistic if kind == "logistic" else Linear)(obj["intercept"], coef)
-        n_features = coef.size
-    if target == "propensity":
-        return PropensityModel(surface, clip=obj["clip"], n_features=n_features)
-    return OutcomeModel(surface, arm=obj["arm"], n_features=n_features)

@@ -9,17 +9,23 @@ is the splitmix64 finalizer (Steele, Lea & Flood 2014)::
     z ^= z >> 31
 
 and ``GOLDEN = 0x9E3779B97F4A7C15``.  Because the draw is a pure function
-of (seed, counter) the stream is reproducible across platforms and easy to
-re-implement in other languages.
+of (seed, counter), the integer draws are reproducible across platforms
+and easy to re-implement in other languages.
 
 Derived quantities are pinned down exactly:
 
 * uniforms take the top 53 bits, ``u = (z >> 11) * 2**-53`` in [0, 1);
 * normals apply Box-Muller to consecutive uniform pairs ``(u1, u2)``:
-  ``r = sqrt(-2 log(1 - u1))``, ``z0 = r cos(2 pi u2)``,
+  ``r = sqrt(-2 log1p(-u1))``, ``z0 = r cos(2 pi u2)``,
   ``z1 = r sin(2 pi u2)``, emitted in that order;
 * bounded integers are ``floor(u * bound)``;
 * permutations are the argsort of ``n`` fresh uniforms (stable ties).
+
+Uniforms, bounded integers and permutations are exact arithmetic on the
+integer draws, so they too repeat on every platform.  Normals do not:
+numpy's float64 ``log1p`` rounds differently under its AVX2 loops than
+under its AVX-512 ones (numpy 2.4.6 gave other bits for 200,000 normals
+of one seed), and samples with normal covariates or noise move with it.
 
 Independent child streams (per replication, fold, tree, ...) come from
 :func:`derive_seed`, which hashes the parent seed with integer keys.

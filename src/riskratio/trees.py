@@ -62,7 +62,7 @@ other stable ordering tried was slower.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -431,29 +431,3 @@ def _partition(buf, xe, idx, cell, feature, threshold):
     real = cell != buf.size - 1
     buf[cell[real]] = idx[np.arange(idx.shape[0])[:, None], order][real]
     return go_left.sum(axis=1)
-
-
-def forest_to_dict(forest: Forest) -> dict:
-    return {
-        "config": asdict(forest.config),
-        "n_features": forest.n_features,
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in forest.trees
-        ],
-    }
-
-
-def forest_from_dict(obj: dict) -> Forest:
-    cfg = ForestConfig(**obj["config"])
-    trees = [
-        Tree(t["feature"], t["threshold"], t["left"], t["right"], t["value"])
-        for t in obj["trees"]
-    ]
-    return Forest(trees, cfg, int(obj["n_features"]))

@@ -1,8 +1,13 @@
-"""Shared test utilities: small random datasets with guaranteed arm structure."""
+"""Shared test utilities: small random datasets with guaranteed arm structure,
+constant-model fixtures, and byte digests of fitted models."""
+
+import hashlib
 
 import numpy as np
 
 from riskratio import ObservationalDataset
+from riskratio.errors import ValidationError
+from riskratio.nuisance import DEFAULT_CLIP, Constant, Linear, OutcomeModel, PropensityModel
 
 
 def random_dataset(seed, n=None, p=2, binary=False, scale=5.0):
@@ -34,3 +39,51 @@ def dataset_from(t, y, x=None):
     if x is None:
         x = np.arange(1.0, len(t) + 1.0).reshape(-1, 1)
     return ObservationalDataset(x=np.asarray(x, dtype=float), t=t, y=y)
+
+
+def constant_propensity(value, clip=DEFAULT_CLIP):
+    if not 0.0 < value < 1.0:
+        raise ValidationError("constant propensity must lie in (0, 1)")
+    return PropensityModel(Constant(float(value)), clip=clip)
+
+
+def constant_outcome(value, arm=None):
+    return OutcomeModel(Constant(float(value)), arm=arm)
+
+
+def forest_bytes(forest):
+    """A forest's config, feature count and node arrays as bytes.
+
+    Each tree's ``feature`` / ``left`` / ``right`` are written as
+    little-endian int64 and its ``threshold`` / ``value`` as little-endian
+    float64, after its node count, so the bytes tell -0.0 from 0.0, which
+    array equality does not.
+    """
+    parts = [repr(forest.config).encode(), forest.n_features.to_bytes(8, "little")]
+    for tree in forest.trees:
+        parts.append(tree.feature.size.to_bytes(8, "little"))
+        parts += [tree.feature.astype("<i8").tobytes(), tree.threshold.astype("<f8").tobytes()]
+        parts += [tree.left.astype("<i8").tobytes(), tree.right.astype("<i8").tobytes()]
+        parts.append(tree.value.astype("<f8").tobytes())
+    return b"".join(parts)
+
+
+def model_digest(model):
+    """sha256 of every value a constant, linear, logistic or forest model
+    predicts from: the surface's type name, then ``float.hex`` of a
+    constant's value or of a linear surface's intercept and coefficients,
+    or a forest's :func:`forest_bytes`, then the propensity's ``clip`` or
+    the outcome model's ``arm``."""
+    surface = model.surface
+    h = hashlib.sha256(type(surface).__name__.encode())
+    if isinstance(surface, Constant):
+        h.update(float(surface.value).hex().encode())
+    elif isinstance(surface, Linear):
+        h.update(",".join(float(v).hex() for v in (surface.intercept, *surface.coef)).encode())
+    else:
+        h.update(forest_bytes(surface))
+    if isinstance(model, PropensityModel):
+        h.update(f"clip={float(model.clip).hex()}".encode())
+    else:
+        h.update(f"arm={model.arm}".encode())
+    return h.hexdigest()

@@ -8,11 +8,10 @@ engine with fixed master seeds, so every number here is reproducible.
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import constant_propensity, random_dataset
 from riskratio import (
     EstimatorConfig,
     ExperimentPlan,
-    constant_propensity,
     fit_logistic_mle,
     fit_ols,
     katz_ci,

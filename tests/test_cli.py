@@ -314,6 +314,17 @@ class TestEstimateSpecs:
         assert "unique" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("specs", ["", ","])
+    def test_empty_estimator_list_exits_two_without_report(self, tmp_path, capsys, specs):
+        out = tmp_path / "est"
+        code = main(
+            ["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(out),
+             "--estimators", specs]
+        )
+        assert code == 2
+        assert "at least one estimator" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_unknown_nuisance_of_design_based_method_exits_two(self, tmp_path):
         out = tmp_path / "est"
         code = main(

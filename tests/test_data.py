@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csv_oracle import load_csv_oracle, write_csv_oracle
 from helpers import random_dataset
-from riskratio import ObservationalDataset, ValidationError, load_csv, summarize, write_csv
+from riskratio import ObservationalDataset, ValidationError, load_csv, write_csv
 from riskratio.data import _WRITE_BLOCK_ROWS
 
 
@@ -76,33 +76,6 @@ def test_round_trip_full_precision(tmp_path):
     assert np.array_equal(back.x, d.x)
     assert np.array_equal(back.t, d.t)
     assert np.array_equal(back.y, d.y)
-
-
-def test_summarize_arm_means():
-    d = ObservationalDataset(x=np.zeros((3, 1)), t=np.array([1, 0, 1]), y=np.array([2.0, 4.0, 6.0]))
-    s = summarize(d)
-    assert (s.n, s.n1, s.n0, s.p) == (3, 2, 1, 1)
-    assert s.y_mean_treated == 4.0
-    assert s.y_mean_control == 4.0
-
-
-def test_summarize_empty_arm_reports_none():
-    d = ObservationalDataset(x=np.zeros((2, 1)), t=np.array([1, 1]), y=np.array([1.0, 2.0]))
-    s = summarize(d)
-    assert s.y_mean_control is None and s.y_mean_treated == 1.5
-
-
-def test_summarize_single_control_row():
-    d = ObservationalDataset(x=np.zeros((1, 1)), t=np.array([0]), y=np.array([3.0]))
-    s = summarize(d)
-    assert (s.n, s.n1, s.n0) == (1, 0, 1)
-
-
-def test_summarize_order_independent():
-    d = random_dataset(1, n=50)
-    perm = np.random.default_rng(2).permutation(50)
-    shuffled = ObservationalDataset(x=d.x[perm], t=d.t[perm], y=d.y[perm])
-    assert summarize(d) == summarize(shuffled)
 
 
 def test_dataset_invariants():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from, random_dataset
+from helpers import constant_outcome, constant_propensity, dataset_from, random_dataset
 from riskratio import (
     ArmFunctionals,
     EstimationError,
@@ -16,8 +16,6 @@ from riskratio import (
     SeparationError,
     ValidationError,
     arm_functionals,
-    constant_outcome,
-    constant_propensity,
     crossfit_nuisances,
     make_folds,
     rr_aipw,

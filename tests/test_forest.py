@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,19 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forest_oracle import fit_forest_oracle, predict_oracle
+from helpers import forest_bytes
 
 from riskratio import (
     ForestConfig,
     ValidationError,
     fit_forest_classifier,
     fit_forest_regressor,
-    model_from_json,
-    model_to_json,
 )
 from riskratio.dgp import DGPSpec, generate
 from riskratio import trees
 from riskratio.rng import CounterRng
-from riskratio.trees import fit_forest, forest_to_dict
+from riskratio.trees import fit_forest
 
 
 def test_constant_target_predicts_constant():
@@ -113,15 +110,6 @@ def test_forest_config_validation():
         fit_forest_classifier(x, np.full(8, 2.0), ForestConfig(min_leaf=1))
 
 
-def test_forest_json_round_trip():
-    g = np.random.default_rng(8)
-    x = g.normal(size=(100, 2))
-    y = x[:, 0] ** 2 + g.normal(size=100)
-    model = fit_forest_regressor(x, y, ForestConfig(n_trees=5, seed=9))
-    back = model_from_json(model_to_json(model))
-    assert np.array_equal(back.predict(x), model.predict(x))
-
-
 @pytest.mark.parametrize(
     "column, bad",
     [("x", np.nan), ("x", -np.inf), ("y", np.inf), ("y", np.nan)],
@@ -175,8 +163,7 @@ def test_lockstep_growth_matches_per_node_oracle(problem):
     x, y, cfg = problem
     forest = fit_forest(x, y, cfg, default_mtry=1)
     oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
-    # JSON text also tells -0.0 from 0.0, which dict equality does not
-    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
+    assert forest_bytes(forest) == forest_bytes(oracle)
     assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
 
 
@@ -191,13 +178,12 @@ def test_any_block_budget_matches_oracle(monkeypatch, budget):
     cfg = ForestConfig(n_trees=9, min_leaf=2, mtry=3, seed=13)
     forest = fit_forest(x, y, cfg, default_mtry=1)
     oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
-    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(oracle))
+    assert forest_bytes(forest) == forest_bytes(oracle)
     assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
 
 
 def _assert_same_forest(forest, reference, x):
-    # JSON text also tells -0.0 from 0.0, which dict equality does not
-    assert json.dumps(forest_to_dict(forest)) == json.dumps(forest_to_dict(reference))
+    assert forest_bytes(forest) == forest_bytes(reference)
     assert forest.predict(x).tobytes() == predict_oracle(reference, x).tobytes()
 
 

@@ -1,16 +1,17 @@
-"""Golden pins of ``run_single`` and of model serialisation.
+"""Golden pins of ``run_single`` and of fitted models.
 
 Point estimates, variances and interval bounds for ``ipw``, ``g``, ``os``
 and ``aipw`` under parametric, forest and oracle nuisances, and for the
 design-based ``neyman`` and ``ht``, on one fixed sample, stored as
 ``float.hex`` strings and compared for exact equality.  Any change to the
 nuisance-fitting path, the forest seeds, the variance formulas or the
-critical value that moves a single bit shows up here.  The
-``model_to_json`` text of one model of each serialisable kind is pinned by
-its sha256, and a JSON round trip must predict bit for bit.  Forests in the
-``mc_forest`` benchmark shape (100 trees on a 250-row fold complement of
+critical value that moves a single bit shows up here.  A constant and a
+forest model of each target, a logistic propensity and an OLS outcome
+model are pinned by ``helpers.model_digest``, the sha256 of every value
+they predict from.  Forests in the ``mc_forest``
+benchmark shape (100 trees on a 250-row fold complement of
 ``wager_nl_nonlogistic``) and small forests under non-default growth
-settings pin both their JSON text and their predictions, so any change to
+settings pin both that digest and their predictions, so any change to
 tree growth, its random draws or the ensemble mean shows up here.  The
 ``report_to_json`` text of one small Monte-Carlo plan, with a size where
 some estimators fail in every replication and one where all succeed, pins
@@ -24,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import constant_outcome, constant_propensity, model_digest, random_dataset
 from riskratio.data import write_csv
 from riskratio.dgp import DGPSpec, generate, oracle_models
 from riskratio.montecarlo import (
@@ -36,14 +37,10 @@ from riskratio.montecarlo import (
 )
 from riskratio.nuisance import (
     ForestConfig,
-    constant_outcome,
-    constant_propensity,
     fit_forest_classifier,
     fit_forest_regressor,
     fit_logistic_mle,
     fit_ols,
-    model_from_json,
-    model_to_json,
 )
 
 SEED = 2024
@@ -114,7 +111,7 @@ def test_run_single_interval_is_bit_identical(sample, method, nuisance):
 
 @pytest.fixture(scope="module")
 def models(sample):
-    """One model of each serialisable kind, fitted on the golden sample."""
+    """One model on each surface type, fitted on the golden sample."""
     d = sample
     control = d.t == 0
     forest_cfg = ForestConfig(n_trees=3, seed=SEED)
@@ -128,28 +125,20 @@ def models(sample):
     }
 
 
-# sha256 of model_to_json(model) for each model of the ``models`` fixture
-GOLDEN_JSON = {
-    "constant_outcome": "773b728430b030f782a79f290eb43ed6ef6b0a377cd2b9f998eba0bc29f8089b",
-    "constant_propensity": "9ffbe67934c6ee69fb39acb986c9faf3d358cc372aa5105ddc1833051ad5fee6",
-    "forest_classifier": "f82bb1912ef0c2f322448ec9663733f296ca80369b64e44c7f9006882ce615b5",
-    "forest_regressor": "e43e9b66257eb77e647aa2ae0868dd780af84a6f72798a6a52df9d530dd10fa7",
-    "logistic": "d497de7c2b034412ac2e6243c1d217342d3aa0acb63cfdbeb7d54a605fcfe4ea",
-    "ols": "75e98e5ce46525db0a319ff323f6c50e6498d7a347cf0db8ec38263060f65bce",
+# model_digest(model) for each model of the ``models`` fixture
+GOLDEN_MODEL = {
+    "constant_outcome": "8f0a35efd8155625e5d99fb525709a07ae08d79a361e7d69cdd494325c7b511e",
+    "constant_propensity": "5497f1daeb59dac4ca27d1c646f82b0bf96199a9757f67eb64932e7add083728",
+    "forest_classifier": "7b4ac7598dc2072ada654213c85a84db266dd8404126f2ccd29708d01df56be0",
+    "forest_regressor": "431103e920f45d157e26d9061ee32107938a5ecec5257b5bb306e63eb61037b1",
+    "logistic": "d5d345589e5d1ebddb078deec9c58024e5eb95288215664212e3f7517875eb2f",
+    "ols": "584f79fed0aba6f4982ce27240b30d50b44f43313efea7a028412454582c21e7",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODEL))
 def test_model_json_is_byte_identical(models, name):
-    text = model_to_json(models[name])
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_JSON[name]
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_JSON))
-def test_model_json_round_trip_predicts_bit_for_bit(sample, models, name):
-    model = models[name]
-    back = model_from_json(model_to_json(model))
-    assert np.array_equal(back.predict(sample.x), model.predict(sample.x))
+    assert model_digest(models[name]) == GOLDEN_MODEL[name]
 
 
 def _sha256(text: str) -> str:
@@ -179,38 +168,38 @@ FOREST_CASES = {
     "no_bootstrap_regressor": ("regressor", dict(n_trees=5, bootstrap=False, seed=6)),
 }
 
-# name -> (sha256 of model_to_json, sha256 of the float.hex predictions)
+# name -> (model_digest, sha256 of the float.hex predictions)
 GOLDEN_FOREST = {
     "mc_forest_classifier": (
-        "d08077335bd5d2a3d12f4df04e47b9b0fde4e078c1d7d5206435a46a4295a5cd",
+        "65ffdd38bbc1883e660bb6f3a8ae15662e40b68b27cfa52d810098c5c4e62e28",
         "e93d3c9f929373ab44d50d914ff2c1bfd562da8fe3357b16691b4f873df4a663",
     ),
     "mc_forest_regressor": (
-        "833342d8efb2e3fbcac7581c2a12a83da184242aa45a4a8dc94a775b6258fd4e",
+        "5fa627f32727f0c057b131eab7d2c8fda962896ee752ceed745eeec41f70bd5b",
         "f2021ee5afa69efb5ad7ea980fd9562c3655dfc78af666d7ea5dc5606dd7c3dc",
     ),
     "min_leaf_1_classifier": (
-        "d79a14ad4347bf8ce420335f10ef0f5945bf14bc280e634272c7c5eda7529ea2",
+        "a7be6aad4c7472282a5b1ab69e3cafeccb109554d1d2afdafb19ed370dc93342",
         "8087dd549b7c760e520be59aad1a05f5ec8c923bf20466aa896f27ada42d48e5",
     ),
     "min_leaf_1_regressor": (
-        "457186a1336292a25af1531572fe720288f97af77364c197c08d476f99ef68cf",
+        "0633cdf7172f6581d00f3da9950b5c61a8546e225a323c93ad5d3e23eadc979a",
         "f2577ac1e5900165273c6bd4fbb5e4377fe2808da8954d882055243da5fbec1a",
     ),
     "depth_3_all_features_classifier": (
-        "e8174b5c357829c879f44a8cf6a544b15ab2a565221d10cac2a0679ad33bc280",
+        "65d792dfd989bfccc838c99fb8bdb42bb3f5114494e98d916772573ffe37bffd",
         "f9472be971041aef1d51afe875eda4e0d27b6583ebc06e62cb19136856dce78c",
     ),
     "depth_3_all_features_regressor": (
-        "8019abb2397804447733bd18fb66f0fd19c397b3d3cdda6bdb18bb0a6c1057bc",
+        "01f1a30d845a20e50566b3d6b460d0e98aac2fa21c3d84b7a4301329b6a905b5",
         "05b30b79b46d50bb97f0650921f5d860cb43d5bc606876fa168282bc51a26934",
     ),
     "no_bootstrap_classifier": (
-        "e7d49e1e9b2048e38d9a2aa663ba96d61f9813a232631bb393e68521d597b151",
+        "63f4c849b72005f714b462c1ab2f04b84131b99a9fc6f8a75878abbc5feb8f29",
         "850f1280ff7ade2a5a45bdc00a29b38b0053d9e854a47ca8439f8b61fc8ee8b2",
     ),
     "no_bootstrap_regressor": (
-        "324b5eb22777e6a44fba5001cf45851bbaf1fdb7720d76f2ff6abeac9ffdfd9b",
+        "7c7e5ac7db5f261f2157fffa2cc9944fb3045e865f3904021ce3dd6a242ff0b8",
         "6da1f038e0a4127748917c0a00d536d8d03fd4f0621f4ed3be752cade46be0ea",
     ),
 }
@@ -233,8 +222,8 @@ def forests(wager):
 @pytest.mark.parametrize("name", sorted(FOREST_CASES))
 def test_forest_json_and_predictions_are_bit_identical(wager, forests, name):
     model = forests[name]
-    json_sha, predict_sha = GOLDEN_FOREST[name]
-    assert _sha256(model_to_json(model)) == json_sha
+    digest, predict_sha = GOLDEN_FOREST[name]
+    assert model_digest(model) == digest
     assert _predict_digest(model.predict(wager.x)) == predict_sha
 
 

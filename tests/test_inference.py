@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dataset_from, random_dataset
+from helpers import constant_propensity, dataset_from, random_dataset
 from riskratio import (
+    ForestConfig,
     ObservationalDataset,
     ValidationError,
     attach_interval,
-    constant_propensity,
+    fit_forest_classifier,
     fit_logistic_mle,
     katz_ci,
     log_delta_ci,
@@ -203,12 +204,15 @@ class TestVarIPWAdjusted:
 
     def test_requires_logistic_model(self):
         d = random_dataset(3)
-        forest_like = PropensityModel(lambda x: np.full(len(x), 0.5))
-        with pytest.raises(ValidationError):
-            var_ipw_mle_adjusted(d, forest_like)
+        function_like = PropensityModel(lambda x: np.full(len(x), 0.5))
+        ols_like = PropensityModel(Linear(0.5, np.zeros(d.p)))
+        forest = fit_forest_classifier(d.x, d.t, ForestConfig(n_trees=2, min_leaf=2))
+        for model in (function_like, ols_like, forest):
+            with pytest.raises(ValidationError, match="logistic-model propensities"):
+                var_ipw_mle_adjusted(d, model)
         # a known propensity is not an estimated one: the oracle is refused too
         sample = generate(DGPSpec(kind="lunceford", n=200, seed=32))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="logistic-model propensities"):
             var_ipw_mle_adjusted(sample.dataset, oracle_models("lunceford")[0])
 
 

@@ -12,7 +12,6 @@ from riskratio import (
     RRPoint,
     ValidationError,
     attach_interval,
-    compare_estimators,
     katz_ci,
     run_experiment,
     run_single,
@@ -21,7 +20,6 @@ from riskratio import (
 )
 from riskratio import montecarlo
 from riskratio.dgp import DGPSpec, generate
-from riskratio.montecarlo import MonteCarloReport, ReportCell
 from riskratio.nuisance import OutcomeModel, PropensityModel
 
 
@@ -286,48 +284,6 @@ class TestPlanValidation:
 
     def test_row_check_ignores_non_parametric_nuisances(self):
         small_plan(sample_sizes=(10,)).check_parametric_rows()
-
-
-def _report_with(cells):
-    return MonteCarloReport(
-        dgp_kind="linear_rct", noise_sd=1.0, master_seed=0, true_rr=2.0, cells=tuple(cells)
-    )
-
-
-def _cell(name, n, bias, rmse):
-    return ReportCell(
-        estimator=name,
-        n=n,
-        reps=10,
-        n_failed=0,
-        n_degenerate=0,
-        coverage_denominator=10,
-        mean_estimate=2.0 + bias,
-        bias=bias,
-        sd=0.1,
-        rmse=rmse,
-        coverage=0.9,
-        mean_ci_length=0.5,
-    )
-
-
-class TestCompare:
-    def test_equal_metrics_keep_input_order(self):
-        report = _report_with([_cell("a", 100, 0.1, 0.2), _cell("b", 100, 0.1, 0.2)])
-        rows = compare_estimators(report)
-        assert [r.estimator for r in rows] == ["a", "b"]
-
-    def test_dominated_estimator_ranks_last(self):
-        report = _report_with(
-            [_cell("worse", 100, 0.5, 0.9), _cell("better", 100, 0.01, 0.1)]
-        )
-        rows = compare_estimators(report)
-        assert rows[0].estimator == "better" and rows[-1].estimator == "worse"
-        assert [r.rank for r in rows] == [1, 2]
-
-    def test_singleton(self):
-        rows = compare_estimators(_report_with([_cell("only", 100, 0.2, 0.3)]))
-        assert len(rows) == 1 and rows[0].rank == 1
 
 
 class TestSerialization:

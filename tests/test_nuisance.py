@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import logistic_oracle
+from helpers import constant_propensity
 from logistic_oracle import fit_logistic_oracle
 
 from riskratio import (
@@ -15,14 +15,11 @@ from riskratio import (
     RankDeficiencyError,
     SeparationError,
     ValidationError,
-    constant_propensity,
     fit_logistic_mle,
     fit_ols,
-    model_from_json,
-    model_to_json,
 )
 from riskratio import nuisance
-from riskratio.dgp import DGPSpec, generate, oracle_models
+from riskratio.dgp import DGPSpec, generate
 from riskratio.nuisance import (
     Linear,
     Logistic,
@@ -204,31 +201,6 @@ def test_clip_validation():
         constant_propensity(0.5, clip=0.7)
     with pytest.raises(ValidationError):
         constant_propensity(1.5)
-
-
-def test_model_json_round_trip():
-    g = np.random.default_rng(6)
-    x = g.normal(size=(200, 3))
-    t = (g.random(200) < expit(x[:, 0] - 0.3)).astype(int)
-    y = 1.0 + x @ np.array([1.0, 0.0, -2.0]) + g.normal(size=200)
-    for model in (
-        fit_logistic_mle(x, t),
-        fit_ols(x, y, arm=1),
-        constant_propensity(0.25),
-    ):
-        back = model_from_json(model_to_json(model))
-        assert np.allclose(back.predict(x), model.predict(x))
-        assert json.loads(model_to_json(model))["model"] == model.kind
-
-
-def test_model_json_refusals():
-    for oracle in oracle_models("lunceford"):
-        assert oracle.kind == "function"
-        with pytest.raises(ValidationError, match="cannot be serialised"):
-            model_to_json(oracle)
-    ols = json.loads(model_to_json(fit_ols(np.arange(4.0).reshape(-1, 1), np.arange(4.0))))
-    with pytest.raises(ValidationError, match="cannot deserialise model kind 'ols'"):
-        model_from_json(json.dumps({**ols, "target": "propensity", "clip": 0.01}))
 
 
 _EDGE_LOGITS = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.5, 710.5,
