@@ -33,7 +33,7 @@ import numpy as np
 from .data import ObservationalDataset
 from .errors import ValidationError
 from .estimators import CrossfitScores, RRPoint, _ratio_point, rr_ht, rr_neyman
-from .nuisance import Constant, Logistic, PropensityModel
+from .nuisance import Logistic, PropensityModel
 
 _EPS_OPEN_INTERVAL = 1e-12  # clamp for optimal-e boundary cases
 
@@ -155,7 +155,7 @@ def var_ipw_mle_adjusted(d: ObservationalDataset, e_hat: PropensityModel) -> flo
     result can be negative in finite samples; it is reported raw and is
     not used for interval construction.
     """
-    if not isinstance(e_hat.surface, (Logistic, Constant)):
+    if not isinstance(e_hat.surface, Logistic):
         raise ValidationError("adjustment applies to logistic-model propensities")
     e = e_hat.predict(d.x)
     t, den1, den0, v_ipw = _ipw_moments(d, e)

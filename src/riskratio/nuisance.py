@@ -105,6 +105,8 @@ class PropensityModel:
 
     def __post_init__(self):
         _check_clip(self.clip)
+        if isinstance(self.surface, Constant) and not 0.0 < self.surface.value < 1.0:
+            raise ValidationError("constant propensity must lie in (0, 1)")
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         raw = np.asarray(self.surface(_as_matrix(x, self.n_features)), dtype=float)
@@ -436,7 +438,7 @@ def fit_ols(x: np.ndarray, y: np.ndarray, arm: int | None = None) -> OutcomeMode
 class ForestFit:
     """A forest learner's checked inputs, not yet grown.
 
-    ``job`` is one ``(x, y, cfg, default_mtry)`` job of
+    ``job`` is one ``(x, y, cfg, mtry)`` job of
     :func:`~riskratio.trees.fit_forests`; ``model`` turns the forest grown
     from it into the learner's model.
     """
@@ -451,7 +453,7 @@ def forest_regressor_fit(
     cfg: ForestConfig | None = None,
     arm: int | None = None,
 ) -> ForestFit:
-    """The :class:`ForestFit` of :func:`fit_forest_regressor`."""
+    """The :class:`ForestFit` of :func:`fit_forest_regressor`: ``mtry = ceil(p/3)``."""
     x = np.asarray(x, dtype=float)
     cfg = cfg if cfg is not None else ForestConfig()
     job = (x, y, cfg, math.ceil(x.shape[1] / 3))
@@ -464,7 +466,7 @@ def forest_classifier_fit(
     cfg: ForestConfig | None = None,
     clip: float = DEFAULT_CLIP,
 ) -> ForestFit:
-    """The :class:`ForestFit` of :func:`fit_forest_classifier`.
+    """The :class:`ForestFit` of :func:`fit_forest_classifier`: ``mtry = ceil(sqrt(p))``.
 
     ``clip`` is checked here, before any tree grows.
     """
@@ -496,7 +498,7 @@ def fit_forest_regressor(
     cfg: ForestConfig | None = None,
     arm: int | None = None,
 ) -> OutcomeModel:
-    """Bagged CART regression forest; default mtry is ceil(p/3)."""
+    """Bagged CART regression forest; mtry is ceil(p/3)."""
     fit = forest_regressor_fit(x, y, cfg, arm)
     return fit.model(fit_forest(*fit.job))
 
@@ -509,7 +511,7 @@ def fit_forest_classifier(
 ) -> PropensityModel:
     """Bagged CART classification forest; leaves predict the treated fraction.
 
-    Default mtry is ceil(sqrt(p)); outputs are clipped like any propensity.
+    mtry is ceil(sqrt(p)); outputs are clipped like any propensity.
     """
     fit = forest_classifier_fit(x, t, cfg, clip)
     return fit.model(fit_forest(*fit.job))

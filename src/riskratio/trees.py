@@ -1,24 +1,24 @@
 """CART regression trees and bagged ensembles.
 
 Internal machinery behind the forest learners in :mod:`riskratio.nuisance`.
-Splits minimise within-node sum of squares over ``mtry`` features sampled
-per node.  Tie-breaking is deterministic: a split must strictly beat the
-incumbent, candidate features are scanned in ascending index order, and
-candidate thresholds in ascending value order, so the lowest feature index
-and smallest threshold win ties.
+Every tree grows on bootstrap rows with no depth limit, and a child holds
+at least ``_MIN_LEAF`` rows.  Splits minimise within-node sum of squares
+over ``mtry`` features sampled per node; ``mtry`` is the learner's own.
+Tie-breaking is deterministic: a split must strictly beat the incumbent,
+candidate features are scanned in ascending index order, and candidate
+thresholds in ascending value order, so the lowest feature index and
+smallest threshold win ties.
 
 Reproducibility contract.  Tree ``t`` of a forest with seed ``s`` reads the
 counter-based stream ``derive_seed(s, t)`` (see :mod:`riskratio.rng`) and
 nothing else:
 
-* with ``bootstrap`` its rows are ``floor(u_i * n)`` for draws
-  ``i = 0 .. n-1``; without, they are ``0 .. n-1`` and no draw is used;
-* every node that attempts a split (it has at least ``2 * min_leaf`` rows,
-  lies above ``max_depth`` and has a non-constant target) takes the next
-  ``p`` draws of the stream, after the bootstrap ones, in the tree's
-  depth-first order (left subtree before right).  Its candidate features
-  are the indices of the ``mtry`` smallest of those uniforms (ties to the
-  lower index), in ascending order.
+* its rows are ``floor(u_i * n)`` for draws ``i = 0 .. n-1``;
+* every node that attempts a split (it has at least ``2 * _MIN_LEAF`` rows
+  and a non-constant target) takes the next ``p`` draws of the stream,
+  after the bootstrap ones, in the tree's depth-first order (left subtree
+  before right).  Its candidate features are the indices of the ``mtry``
+  smallest of those uniforms (ties to the lower index), in ascending order.
 
 A child keeps its parent's row order, and a node's value is the mean of its
 targets summed in that order as ``np.add.reduce`` sums them.  Fitted forests
@@ -28,17 +28,16 @@ Growth.  :func:`fit_forests` grows forests as a stream, one batch at a
 time: it checks every job first, and its iterator grows a batch when that
 batch's first forest is requested, by one call of :func:`_grow_forest`,
 which returns the batch's forests.  A batch takes consecutive jobs that
-share ``p``, ``min_leaf``, ``max_depth`` and ``bootstrap`` while its trees'
-row buffer holds at most ``_BATCH_CELLS`` cells; a job above that grows
-alone, as it would by itself.  So a caller that takes the forests in order
-and drops each once used holds one batch of forests, plus what it keeps.
-The trees of a batch grow together in lockstep rounds.  Their rows are
-stacked in one table, so each tree carries its own row offset into it, its
-own draw offset (its job's ``n`` with ``bootstrap``, else 0) and its own
-``mtry``.  Each round pops the next node from every tree's depth-first
-stack, so each tree keeps its own visiting order and draw offsets (a
-level-wise order would not: a node's draw offset depends on how many nodes
-to its left attempted a split).  The split search of every node of the
+share ``p`` while its trees' row buffer holds at most ``_BATCH_CELLS``
+cells; a job above that grows alone, as it would by itself.  So a caller
+that takes the forests in order and drops each once used holds one batch
+of forests, plus what it keeps.  The trees of a batch grow together in
+lockstep rounds.  Their rows are stacked in one table, so each tree
+carries its own row offset into it, its own draw offset (its job's ``n``)
+and its own ``mtry``.  Each round pops the next node from every tree's
+depth-first stack, so each tree keeps its own visiting order and draw
+offsets (a level-wise order would not: a node's draw offset depends on how
+many nodes to its left attempted a split).  The split search of every node of the
 round that attempts a split runs in padded ``(node, feature) x rows``
 blocks.  Rows are stably sorted by their dense rank within their job,
 which orders them exactly as ``x`` does (rows of two jobs never share a
@@ -70,32 +69,23 @@ from .errors import ValidationError
 from .rng import derive_seed, uniforms_at
 
 _LEAF = -1
+_MIN_LEAF = 5  # fewest rows of a child
 _CELL_BUDGET = 1 << 13  # cells of one split-scan block or one predict block
 _BATCH_CELLS = 1 << 18  # row-buffer cells of one lockstep batch of trees
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Ensemble hyperparameters; ``mtry=None`` defers to the fitter default."""
+    """A forest's size and the seed of its draws."""
 
     n_trees: int = 200
-    max_depth: int | None = None
-    min_leaf: int = 5
-    mtry: int | None = None
-    bootstrap: bool = True
     seed: int = 0
 
-    def validate(self, p: int, n: int) -> None:
+    def validate(self, n: int) -> None:
         if self.n_trees < 1:
             raise ValidationError("n_trees must be >= 1")
-        if self.min_leaf < 1:
-            raise ValidationError("min_leaf must be >= 1")
-        if self.mtry is not None and not 1 <= self.mtry <= p:
-            raise ValidationError(f"mtry must lie in [1, {p}], got {self.mtry}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValidationError("max_depth must be >= 0")
-        if n < 2 * self.min_leaf:
-            raise ValidationError(f"need at least {2 * self.min_leaf} rows, got {n}")
+        if n < 2 * _MIN_LEAF:
+            raise ValidationError(f"need at least {2 * _MIN_LEAF} rows, got {n}")
 
 
 class Tree:
@@ -114,12 +104,10 @@ class Tree:
 class Forest:
     """Bagged CART trees; prediction is the mean of per-tree leaf means."""
 
-    __slots__ = ("trees", "config", "n_features")
+    __slots__ = ("trees",)
 
-    def __init__(self, trees: list[Tree], config: ForestConfig, n_features: int):
+    def __init__(self, trees: list[Tree]):
         self.trees = trees
-        self.config = config
-        self.n_features = n_features
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Walk all trees at once over their concatenated node arrays.
@@ -166,36 +154,36 @@ def _leaf_values(x, first, feature, threshold, left, right, value):
     return value[node].reshape(first.size, n)
 
 
-def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, default_mtry: int) -> Forest:
-    """One forest: :func:`fit_forests` of the single job ``(x, y, cfg, default_mtry)``."""
-    return next(fit_forests([(x, y, cfg, default_mtry)]))
+def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, mtry: int) -> Forest:
+    """One forest: :func:`fit_forests` of the single job ``(x, y, cfg, mtry)``."""
+    return next(fit_forests([(x, y, cfg, mtry)]))
 
 
 def fit_forests(
     jobs: list[tuple[np.ndarray, np.ndarray, ForestConfig, int]],
 ) -> Iterator[Forest]:
-    """One forest per ``(x, y, cfg, default_mtry)`` job, in job order, as a stream.
+    """One forest per ``(x, y, cfg, mtry)`` job, in job order, as a stream.
 
-    Every job is checked here, before any tree grows, so the first bad job
-    raises what :func:`fit_forest` raises for it.  The returned iterator
-    grows each batch of jobs (module docstring) when that batch's first
-    forest is requested, and lets go of a batch once its last forest is
-    taken.  Each forest is, bit for bit, the one its job grows alone.
+    ``mtry`` is clamped to ``[1, p]``.  Every job is checked here, before
+    any tree grows, so the first bad job raises what :func:`fit_forest`
+    raises for it.  The returned iterator grows each batch of jobs (module
+    docstring) when that batch's first forest is requested, and lets go of
+    a batch once its last forest is taken.  Each forest is, bit for bit,
+    the one its job grows alone.
     """
     checked = [_checked(*job) for job in jobs]
     return (forest for batch in _batches(checked) for forest in _grow_forest(batch))
 
 
-def _checked(x, y, cfg, default_mtry):
-    """The job ``(x, y, cfg, mtry)`` with float arrays and ``mtry`` resolved."""
+def _checked(x, y, cfg, mtry):
+    """The job ``(x, y, cfg, mtry)`` with float arrays and ``mtry`` clamped."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape
-    cfg.validate(p, n)
+    cfg.validate(n)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("forest inputs must be finite (no NaN or inf in x or y)")
-    mtry = cfg.mtry if cfg.mtry is not None else min(p, max(1, default_mtry))
-    return x, y, cfg, mtry
+    return x, y, cfg, min(p, max(1, mtry))
 
 
 def _batches(jobs):
@@ -203,9 +191,7 @@ def _batches(jobs):
     batch, cells = [], 0
     for job in jobs:
         size = job[2].n_trees * job[0].shape[0]
-        if batch and (
-            _round_settings(job) != _round_settings(batch[0]) or cells + size > _BATCH_CELLS
-        ):
+        if batch and (job[0].shape[1] != batch[0][0].shape[1] or cells + size > _BATCH_CELLS):
             yield batch
             batch, cells = [], 0
         batch.append(job)
@@ -214,19 +200,13 @@ def _batches(jobs):
         yield batch
 
 
-def _round_settings(job):
-    """What every tree of a lockstep round shares: p, min_leaf, max_depth, bootstrap."""
-    x, _, cfg, _ = job
-    return x.shape[1], cfg.min_leaf, cfg.max_depth, cfg.bootstrap
-
-
 def _grow_forest(jobs):
     """The forests of one batch of checked jobs, grown in lockstep rounds (module docstring)."""
-    p, min_leaf, max_depth, bootstrap = _round_settings(jobs[0])
+    p = jobs[0][0].shape[1]
     rows = [x.shape[0] for x, _, _, _ in jobs]
     n_trees = [cfg.n_trees for _, _, cfg, _ in jobs]
     n = np.repeat(rows, n_trees)  # per tree: its job's row count, draw offset and mtry
-    first_node_draw = (n if bootstrap else np.zeros_like(n)).astype(np.uint64)
+    first_node_draw = n.astype(np.uint64)
     mtry = np.repeat([job[3] for job in jobs], n_trees)
     # the jobs' rows are stacked in xe / ye / rank, followed by one padding
     # row; tree t's open node holds the stacked rows
@@ -250,19 +230,15 @@ def _grow_forest(jobs):
             [derive_seed(cfg.seed, t) for t in range(cfg.n_trees)], dtype=np.uint64
         )
         cells = slice(cell0, cell0 + cfg.n_trees * m)
-        if bootstrap:
-            u = uniforms_at(job_seeds[:, None], np.arange(m, dtype=np.uint64))
-            buf[cells] = np.floor(u * m).ravel()
-        else:
-            buf[cells] = np.tile(np.arange(m), cfg.n_trees)
-        buf[cells] += row0
+        u = uniforms_at(job_seeds[:, None], np.arange(m, dtype=np.uint64))
+        buf[cells] = np.floor(u * m).ravel() + row0
         for f in range(p):
             rank[row0 : row0 + m, f] = np.unique(x[:, f], return_inverse=True)[1]
         seeds.append(job_seeds)
         row0 += m
         cell0 = cells.stop
     seeds = np.concatenate(seeds)[:, None]
-    stacks = [[(0, 0, m, 0)] for m in n.tolist()]  # (node, start, end, depth)
+    stacks = [[(0, 0, m)] for m in n.tolist()]  # (node, start, end)
     n_nodes = np.ones(n.size, dtype=np.int64)
     drawn = np.zeros(n.size, dtype=np.uint64)  # split-attempting nodes so far
     feature_draws = np.arange(p, dtype=np.uint64)
@@ -271,7 +247,7 @@ def _grow_forest(jobs):
     while active:
         popped = [stacks[t].pop() for t in active]
         tree = np.array(active)
-        node, start, end, depth = (np.array(c) for c in zip(*popped))
+        node, start, end = (np.array(c) for c in zip(*popped))
         m = end - start
         base = buf0[tree] + start
         value, varies = _node_values(ye, buf, base, m)
@@ -279,10 +255,7 @@ def _grow_forest(jobs):
         threshold = np.zeros(tree.size)
         child = np.full(tree.size, _LEAF)
         rounds.append((tree, node, value, feature, threshold, child))
-        attempt = (m >= 2 * min_leaf) & varies
-        if max_depth is not None:
-            attempt &= depth < max_depth
-        cand = np.flatnonzero(attempt)
+        cand = np.flatnonzero((m >= 2 * _MIN_LEAF) & varies)
         t_cand = tree[cand]
         counters = first_node_draw[t_cand][:, None] + p * drawn[t_cand][:, None] + feature_draws
         drawn[t_cand] += np.uint64(1)
@@ -303,20 +276,20 @@ def _grow_forest(jobs):
             inside = np.arange(w) < m[sel, None]
             cell = np.where(inside, base[sel, None] + np.arange(w), buf.size - 1)
             idx = buf[cell]
-            f, thr, found = _best_splits(xe, rank, idx, ye[idx], m[sel], feats, min_leaf)
+            f, thr, found = _best_splits(xe, rank, idx, ye[idx], m[sel], feats)
             sel = sel[found]
             feature[sel], threshold[sel] = f[found], thr[found]
             n_left = _partition(buf, xe, idx[found], cell[found], f[found], thr[found])
             child[sel] = n_nodes[tree[sel]]
             n_nodes[tree[sel]] += 2
             for i, c, nl in zip(sel.tolist(), child[sel].tolist(), n_left.tolist()):
-                _, s, e, d = popped[i]
+                _, s, e = popped[i]
                 # push right first so the left child is processed first
-                stacks[active[i]] += ((c + 1, s + nl, e, d + 1), (c, s, s + nl, d + 1))
+                stacks[active[i]] += ((c + 1, s + nl, e), (c, s, s + nl))
             a = b
         active = [t for t in active if stacks[t]]
     del buf, xe, ye, rank  # the batch's rows are not needed to assemble its trees
-    return _assemble(n_nodes, rounds, [cfg for _, _, cfg, _ in jobs], p)
+    return _assemble(n_nodes, rounds, n_trees)
 
 
 def _node_values(ye, buf, base, m):
@@ -347,8 +320,8 @@ def _node_values(ye, buf, base, m):
     return value, varies
 
 
-def _assemble(n_nodes, rounds, cfgs, p):
-    """The forests of ``cfgs`` from the per-round records of ``_grow_forest``.
+def _assemble(n_nodes, rounds, n_trees):
+    """Forests of ``n_trees`` trees each from the per-round records of ``_grow_forest``.
 
     ``rounds`` is emptied as it is read.  Each forest's node arrays are its
     own, so a forest kept alive does not keep the rest of its batch.
@@ -370,17 +343,17 @@ def _assemble(n_nodes, rounds, cfgs, p):
         right[at] = np.where(child == _LEAF, _LEAF, child + 1)
     fields = (feature, threshold, left, right, value)
     forests, a = [], 0
-    for cfg in cfgs:
-        b = a + cfg.n_trees
+    for size in n_trees:
+        b = a + size
         lo = first[a]
         own = (f[lo : first[b - 1] + n_nodes[b - 1]].copy() for f in fields)
         trees = [Tree(*t) for t in zip(*(np.split(f, first[a + 1 : b] - lo) for f in own))]
-        forests.append(Forest(trees, cfg, p))
+        forests.append(Forest(trees))
         a = b
     return forests
 
 
-def _best_splits(xe, rank, idx, ys, m, feats, min_leaf):
+def _best_splits(xe, rank, idx, ys, m, feats):
     """Best split of each padded node: (feature, threshold, found) arrays.
 
     ``idx`` / ``ys`` are ``(nodes, width)`` rows and targets, padded after
@@ -398,7 +371,7 @@ def _best_splits(xe, rank, idx, ys, m, feats, min_leaf):
     order = np.argsort(keys, axis=1, kind="stable")
     keys = keys[scan[:, None], order]
     cs = np.cumsum(ys[of_node[:, None], order], axis=1)
-    lo = min_leaf
+    lo = _MIN_LEAF
     sizes = np.arange(lo, w - lo + 1, dtype=np.float64)  # left sizes of each cut
     left = cs[:, lo - 1 : w - lo]
     size = m[of_node]

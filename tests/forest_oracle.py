@@ -13,15 +13,16 @@ from riskratio.rng import CounterRng, derive_seed
 from riskratio.trees import Forest, Tree
 
 _LEAF = -1
+_MIN_LEAF = 5
 
 
-def _best_split(x, y, rows, feats, min_leaf):
+def _best_split(x, y, rows, feats):
     """Best (gain, feature, threshold) over candidate features, or None."""
     m = rows.size
     best_gain = 0.0
     best = None
-    lo = min_leaf
-    hi = m - min_leaf
+    lo = _MIN_LEAF
+    hi = m - _MIN_LEAF
     for f in feats:
         xv = x[rows, f]
         order = np.argsort(xv, kind="stable")
@@ -65,22 +66,22 @@ def predict_oracle(forest, x):
     return out / len(forest.trees)
 
 
-def fit_forest_oracle(x, y, cfg, default_mtry):
+def fit_forest_oracle(x, y, cfg, mtry):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape
-    cfg.validate(p, n)
-    mtry = cfg.mtry if cfg.mtry is not None else min(p, max(1, default_mtry))
+    cfg.validate(n)
+    mtry = min(p, max(1, mtry))
     trees = []
     for tree_idx in range(cfg.n_trees):
         rng = CounterRng(derive_seed(cfg.seed, tree_idx))
-        rows = rng.integers(n, n) if cfg.bootstrap else np.arange(n)
-        tree = _grow_tree(x, y, rows, rng, mtry, cfg.min_leaf, cfg.max_depth)
+        rows = rng.integers(n, n)
+        tree = _grow_tree(x, y, rows, rng, mtry)
         trees.append(tree)
-    return Forest(trees, cfg, p)
+    return Forest(trees)
 
 
-def _grow_tree(x, y, rows, rng, mtry, min_leaf, max_depth):
+def _grow_tree(x, y, rows, rng, mtry):
     n, p = x.shape
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -92,19 +93,17 @@ def _grow_tree(x, y, rows, rng, mtry, min_leaf, max_depth):
         value.append(0.0)
         return len(feature) - 1
 
-    stack = [(new_node(), rows, 0)]
+    stack = [(new_node(), rows)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         ys = y[idx]
         value[node] = float(ys.mean())
-        if idx.size < 2 * min_leaf:
-            continue
-        if max_depth is not None and depth >= max_depth:
+        if idx.size < 2 * _MIN_LEAF:
             continue
         if ys.min() == ys.max():
             continue
         feats = np.sort(rng.permutation(p)[:mtry])
-        split = _best_split(x, y, idx, feats, min_leaf)
+        split = _best_split(x, y, idx, feats)
         if split is None:
             continue
         f, thr = split
@@ -115,6 +114,6 @@ def _grow_tree(x, y, rows, rng, mtry, min_leaf, max_depth):
         left[node] = left_id
         right[node] = right_id
         # push right first so the left child is processed first (fixed order)
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
+        stack.append((right_id, idx[~go_left]))
+        stack.append((left_id, idx[go_left]))
     return Tree(feature, threshold, left, right, value)

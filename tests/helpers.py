@@ -6,7 +6,6 @@ import hashlib
 import numpy as np
 
 from riskratio import ObservationalDataset
-from riskratio.errors import ValidationError
 from riskratio.nuisance import DEFAULT_CLIP, Constant, Linear, OutcomeModel, PropensityModel
 
 
@@ -42,8 +41,6 @@ def dataset_from(t, y, x=None):
 
 
 def constant_propensity(value, clip=DEFAULT_CLIP):
-    if not 0.0 < value < 1.0:
-        raise ValidationError("constant propensity must lie in (0, 1)")
     return PropensityModel(Constant(float(value)), clip=clip)
 
 
@@ -52,14 +49,14 @@ def constant_outcome(value, arm=None):
 
 
 def forest_bytes(forest):
-    """A forest's config, feature count and node arrays as bytes.
+    """A forest's node arrays as bytes.
 
     Each tree's ``feature`` / ``left`` / ``right`` are written as
     little-endian int64 and its ``threshold`` / ``value`` as little-endian
     float64, after its node count, so the bytes tell -0.0 from 0.0, which
     array equality does not.
     """
-    parts = [repr(forest.config).encode(), forest.n_features.to_bytes(8, "little")]
+    parts = []
     for tree in forest.trees:
         parts.append(tree.feature.size.to_bytes(8, "little"))
         parts += [tree.feature.astype("<i8").tobytes(), tree.threshold.astype("<f8").tobytes()]

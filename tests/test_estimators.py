@@ -324,11 +324,11 @@ def test_crossfit_logistic_failures_raise_in_per_fold_order(separated, constant,
 
 def test_crossfit_rejects_a_small_arm_before_growing_any_forest(monkeypatch):
     # 6 treated of 40: a fold complement keeps at most 5 treated rows, under
-    # 2 * min_leaf = 10, while every propensity forest gets 20 rows
+    # the 10 rows a forest needs, while every propensity forest gets 20 rows
     t = np.zeros(40, dtype=int)
     t[::7] = 1
     d = dataset_from(t=t, y=np.linspace(1.0, 2.0, 40))
-    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=3, min_leaf=5, seed=1))
+    recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=3, seed=1))
     folds = make_folds(40, 2, seed=0)
     with pytest.raises(ValidationError) as per_fold:
         _per_fold_nuisances(d, folds, recipe)

@@ -26,22 +26,13 @@ def test_constant_target_predicts_constant():
     assert np.allclose(model.predict(x), 5.0)
 
 
-def test_depth_zero_single_tree_is_global_mean():
-    g = np.random.default_rng(1)
-    x = g.normal(size=(50, 2))
-    y = g.normal(size=50)
-    cfg = ForestConfig(n_trees=1, max_depth=0, bootstrap=False, seed=2)
-    model = fit_forest_regressor(x, y, cfg)
-    assert np.allclose(model.predict(x), y.mean())
-
-
 def test_regressor_beats_constant_predictor_on_nonlinear_surface():
     # smooth non-linear target; the bar is the variance of the target itself
-    train = generate(DGPSpec(kind="wager_nl_logistic", n=10_000, seed=7, noise_sd=0.0))
+    train = generate(DGPSpec(kind="wager_nl_logistic", n=2_000, seed=7, noise_sd=0.0))
     test = generate(DGPSpec(kind="wager_nl_logistic", n=2_000, seed=8, noise_sd=0.0))
     oracle_draws = CounterRng(99).normals(10**6) * np.sqrt(3.0)
     target_variance = np.var(2.0 * np.logaddexp(0.0, oracle_draws))
-    cfg = ForestConfig(n_trees=200, min_leaf=20, seed=3)
+    cfg = ForestConfig(n_trees=100, seed=3)
     model = fit_forest_regressor(train.dataset.x, train.mu0_true, cfg)
     mse = np.mean((model.predict(test.dataset.x) - test.mu0_true) ** 2)
     assert mse < target_variance
@@ -96,18 +87,12 @@ def test_forest_config_validation():
     g = np.random.default_rng(7)
     x = g.normal(size=(8, 2))
     y = g.normal(size=8)
-    with pytest.raises(ValidationError):
-        fit_forest_regressor(x, y, ForestConfig(min_leaf=5))  # n < 2*min_leaf
-    with pytest.raises(ValidationError):
-        fit_forest_regressor(x, y, ForestConfig(min_leaf=1, mtry=9))
-    with pytest.raises(ValidationError):
-        fit_forest_regressor(x, y, ForestConfig(min_leaf=1, n_trees=0))
-    with pytest.raises(ValidationError, match="min_leaf"):
-        fit_forest_regressor(x, y, ForestConfig(min_leaf=0))
-    with pytest.raises(ValidationError, match="max_depth"):
-        fit_forest_regressor(x, y, ForestConfig(min_leaf=1, max_depth=-1))
-    with pytest.raises(ValidationError):
-        fit_forest_classifier(x, np.full(8, 2.0), ForestConfig(min_leaf=1))
+    with pytest.raises(ValidationError, match="need at least 10 rows, got 8"):
+        fit_forest_regressor(x, y, ForestConfig())
+    with pytest.raises(ValidationError, match="n_trees"):
+        fit_forest_regressor(x, y, ForestConfig(n_trees=0))
+    with pytest.raises(ValidationError, match="labels"):
+        fit_forest_classifier(x, np.full(8, 2.0), ForestConfig())
 
 
 @pytest.mark.parametrize(
@@ -134,10 +119,10 @@ _BINARY_Y = st.sampled_from([0.0, 1.0])
 
 @st.composite
 def forest_problems(draw):
-    """Small problems with repeated x values and real, binary or constant y."""
+    """Small problems with repeated x values and real, binary or constant y,
+    and the job's mtry."""
     p = draw(st.integers(1, 4))
-    min_leaf = draw(st.integers(1, 5))
-    n = draw(st.integers(2 * min_leaf, 40))
+    n = draw(st.integers(10, 80))
     x = draw(arrays(np.float64, (n, p), elements=_X_VALUES))
     y_kind = draw(st.sampled_from(["real", "binary", "constant"]))
     if y_kind == "real":
@@ -146,23 +131,16 @@ def forest_problems(draw):
         y = draw(arrays(np.float64, n, elements=_BINARY_Y))
     else:
         y = np.full(n, draw(st.floats(-5.0, 5.0)))
-    cfg = ForestConfig(
-        n_trees=draw(st.integers(1, 7)),
-        max_depth=draw(st.sampled_from([None, 0, 2])),
-        min_leaf=min_leaf,
-        mtry=draw(st.integers(1, p)),
-        bootstrap=draw(st.booleans()),
-        seed=draw(st.integers(0, 2**32)),
-    )
-    return x, y, cfg
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 7)), seed=draw(st.integers(0, 2**32)))
+    return x, y, cfg, draw(st.integers(1, p))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(forest_problems())
 def test_lockstep_growth_matches_per_node_oracle(problem):
-    x, y, cfg = problem
-    forest = fit_forest(x, y, cfg, default_mtry=1)
-    oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
+    x = problem[0]
+    forest = fit_forest(*problem)
+    oracle = fit_forest_oracle(*problem)
     assert forest_bytes(forest) == forest_bytes(oracle)
     assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
 
@@ -175,9 +153,9 @@ def test_any_block_budget_matches_oracle(monkeypatch, budget):
     g = np.random.default_rng(12)
     x = np.round(g.normal(size=(120, 5)), 1)
     y = np.sin(x[:, 0]) + g.normal(size=120)
-    cfg = ForestConfig(n_trees=9, min_leaf=2, mtry=3, seed=13)
-    forest = fit_forest(x, y, cfg, default_mtry=1)
-    oracle = fit_forest_oracle(x, y, cfg, default_mtry=1)
+    cfg = ForestConfig(n_trees=9, seed=13)
+    forest = fit_forest(x, y, cfg, mtry=3)
+    oracle = fit_forest_oracle(x, y, cfg, mtry=3)
     assert forest_bytes(forest) == forest_bytes(oracle)
     assert forest.predict(x).tobytes() == predict_oracle(oracle, x).tobytes()
 
@@ -190,26 +168,15 @@ def _assert_same_forest(forest, reference, x):
 @st.composite
 def forest_batches(draw):
     """2-4 jobs with their own row counts, mtry, seeds and targets (the first
-    with 0/1 labels), sharing p, min_leaf, max_depth and bootstrap, so that
-    fit_forests grows them in one batch."""
+    with 0/1 labels), sharing p, so that fit_forests grows them in one batch."""
     p = draw(st.integers(1, 4))
-    min_leaf = draw(st.integers(1, 5))
-    max_depth = draw(st.sampled_from([None, 0, 2]))
-    bootstrap = draw(st.booleans())
-    sizes = draw(st.lists(st.integers(2 * min_leaf, 40), min_size=2, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(10, 80), min_size=2, max_size=4, unique=True))
     jobs = []
     for i, n in enumerate(sizes):
         x = draw(arrays(np.float64, (n, p), elements=_X_VALUES))
         y = draw(arrays(np.float64, n, elements=_BINARY_Y if i == 0 else _REAL_Y))
-        cfg = ForestConfig(
-            n_trees=draw(st.integers(1, 5)),
-            max_depth=max_depth,
-            min_leaf=min_leaf,
-            mtry=draw(st.integers(1, p)),
-            bootstrap=bootstrap,
-            seed=draw(st.integers(0, 2**32)),
-        )
-        jobs.append((x, y, cfg, 1))
+        cfg = ForestConfig(n_trees=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**32)))
+        jobs.append((x, y, cfg, draw(st.integers(1, p))))
     return jobs
 
 
@@ -218,8 +185,8 @@ def forest_batches(draw):
 def test_batched_growth_matches_per_node_oracle(jobs):
     forests = list(trees.fit_forests(jobs))
     assert len(forests) == len(jobs)
-    for (x, y, cfg, default_mtry), forest in zip(jobs, forests):
-        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+    for job, forest in zip(jobs, forests):
+        _assert_same_forest(forest, fit_forest_oracle(*job), job[0])
 
 
 @pytest.mark.parametrize("cap", [1, 600, 1 << 20])
@@ -232,9 +199,9 @@ def test_any_batch_cap_matches_oracle(monkeypatch, cap):
     for n, mtry, labels in [(120, 3, True), (90, 2, False), (60, 5, False)]:
         x = np.round(g.normal(size=(n, 5)), 1)
         y = (x[:, 0] > 0.0).astype(float) if labels else np.sin(x[:, 0]) + g.normal(size=n)
-        jobs.append((x, y, ForestConfig(n_trees=4, min_leaf=2, mtry=mtry, seed=n), 1))
-    for (x, y, cfg, default_mtry), forest in zip(jobs, trees.fit_forests(jobs)):
-        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+        jobs.append((x, y, ForestConfig(n_trees=4, seed=n), mtry))
+    for job, forest in zip(jobs, trees.fit_forests(jobs)):
+        _assert_same_forest(forest, fit_forest_oracle(*job), job[0])
 
 
 def _jobs(*rows):
@@ -244,7 +211,7 @@ def _jobs(*rows):
     for n in rows:
         x = g.normal(size=(n, 3))
         y = np.sin(x[:, 0]) + g.normal(size=n)
-        jobs.append((x, y, ForestConfig(n_trees=3, min_leaf=2, seed=n), 1))
+        jobs.append((x, y, ForestConfig(n_trees=3, seed=n), 1))
     return jobs
 
 
@@ -268,19 +235,19 @@ def test_forests_stream_one_batch_per_request(monkeypatch):
     assert grown == [1, 2]
     # forests of one batch own their node arrays: one kept alive keeps no other
     assert rest[0].trees[0].value.base is not rest[1].trees[0].value.base
-    for (x, y, cfg, default_mtry), forest in zip(jobs, [first, *rest]):
-        _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, default_mtry), x)
+    for job, forest in zip(jobs, [first, *rest]):
+        _assert_same_forest(forest, fit_forest_oracle(*job), job[0])
 
 
 def test_a_bad_last_job_raises_before_any_batch_grows(monkeypatch):
     monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
     grown = _counting_growth(monkeypatch)
     jobs = _jobs(50, 40, 30)
-    x, y, cfg, default_mtry = jobs[-1]
+    x, y, cfg, mtry = jobs[-1]
     y = y.copy()
     y[-1] = np.nan
     with pytest.raises(ValidationError, match="must be finite"):
-        trees.fit_forests([*jobs[:-1], (x, y, cfg, default_mtry)])
+        trees.fit_forests([*jobs[:-1], (x, y, cfg, mtry)])
     assert grown == []
 
 
@@ -288,12 +255,12 @@ def test_stacked_rows_past_uint16_ranks_match_forests_grown_alone():
     # 2 x 33,000 stacked rows pass the 65,535 that a uint16 rank table
     # holds, while each job alone stays below it; the targets step up among
     # the largest x, whose ranks would wrap in a uint16 table of ranks taken
-    # over the stacked rows
+    # over the stacked rows.  The step is noise-free, so each tree's root
+    # split leaves two constant children and growth stops there.
     g = np.random.default_rng(15)
-    cfgs = [ForestConfig(n_trees=1, max_depth=1, mtry=2, seed=s) for s in (16, 17)]
     jobs = []
-    for cfg in cfgs:
+    for s in (16, 17):
         x = g.normal(size=(33_000, 2))
-        jobs.append((x, (x[:, 0] > 2.0) + 0.1 * g.normal(size=33_000), cfg, 1))
+        jobs.append((x, (x[:, 0] > 2.0).astype(float), ForestConfig(n_trees=1, seed=s), 2))
     for job, forest in zip(jobs, trees.fit_forests(jobs)):
         _assert_same_forest(forest, fit_forest(*job), job[0])

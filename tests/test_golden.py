@@ -8,11 +8,11 @@ nuisance-fitting path, the forest seeds, the variance formulas or the
 critical value that moves a single bit shows up here.  A constant and a
 forest model of each target, a logistic propensity and an OLS outcome
 model are pinned by ``helpers.model_digest``, the sha256 of every value
-they predict from.  Forests in the ``mc_forest``
-benchmark shape (100 trees on a 250-row fold complement of
-``wager_nl_nonlogistic``) and small forests under non-default growth
-settings pin both that digest and their predictions, so any change to
-tree growth, its random draws or the ensemble mean shows up here.  The
+they predict from.  Forests in the ``mc_forest`` benchmark shape (100
+trees on a 250-row fold complement of ``wager_nl_nonlogistic``) and
+5-tree forests under three more seeds pin both that digest and their
+predictions, so any change to tree growth, its random draws or the
+ensemble mean shows up here.  The
 ``report_to_json`` text of one small Monte-Carlo plan, with a size where
 some estimators fail in every replication and one where all succeed, pins
 the replication accounting.  The bytes ``write_csv`` writes for two fixed
@@ -129,15 +129,15 @@ def models(sample):
 GOLDEN_MODEL = {
     "constant_outcome": "8f0a35efd8155625e5d99fb525709a07ae08d79a361e7d69cdd494325c7b511e",
     "constant_propensity": "5497f1daeb59dac4ca27d1c646f82b0bf96199a9757f67eb64932e7add083728",
-    "forest_classifier": "7b4ac7598dc2072ada654213c85a84db266dd8404126f2ccd29708d01df56be0",
-    "forest_regressor": "431103e920f45d157e26d9061ee32107938a5ecec5257b5bb306e63eb61037b1",
+    "forest_classifier": "49f29d6bdd37df8058ac493584321c4c5d865b41a35657fb8a8d160dce401566",
+    "forest_regressor": "8d8019c6dd535ef9c63ca8fa01b471893fe011f1279ff6c845cc32caa10711fa",
     "logistic": "d5d345589e5d1ebddb078deec9c58024e5eb95288215664212e3f7517875eb2f",
     "ols": "584f79fed0aba6f4982ce27240b30d50b44f43313efea7a028412454582c21e7",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODEL))
-def test_model_json_is_byte_identical(models, name):
+def test_model_digest_is_byte_identical(models, name):
     assert model_digest(models[name]) == GOLDEN_MODEL[name]
 
 
@@ -160,47 +160,47 @@ def wager():
 FOREST_CASES = {
     "mc_forest_classifier": ("classifier", dict(n_trees=100, seed=17)),
     "mc_forest_regressor": ("regressor", dict(n_trees=100, seed=17)),
-    "min_leaf_1_classifier": ("classifier", dict(n_trees=5, min_leaf=1, seed=3)),
-    "min_leaf_1_regressor": ("regressor", dict(n_trees=5, min_leaf=1, seed=3)),
-    "depth_3_all_features_classifier": ("classifier", dict(n_trees=5, max_depth=3, mtry=6, seed=4)),
-    "depth_3_all_features_regressor": ("regressor", dict(n_trees=5, max_depth=3, mtry=6, seed=4)),
-    "no_bootstrap_classifier": ("classifier", dict(n_trees=5, bootstrap=False, seed=6)),
-    "no_bootstrap_regressor": ("regressor", dict(n_trees=5, bootstrap=False, seed=6)),
+    "trees_5_seed_3_classifier": ("classifier", dict(n_trees=5, seed=3)),
+    "trees_5_seed_3_regressor": ("regressor", dict(n_trees=5, seed=3)),
+    "trees_5_seed_4_classifier": ("classifier", dict(n_trees=5, seed=4)),
+    "trees_5_seed_4_regressor": ("regressor", dict(n_trees=5, seed=4)),
+    "trees_5_seed_6_classifier": ("classifier", dict(n_trees=5, seed=6)),
+    "trees_5_seed_6_regressor": ("regressor", dict(n_trees=5, seed=6)),
 }
 
 # name -> (model_digest, sha256 of the float.hex predictions)
 GOLDEN_FOREST = {
     "mc_forest_classifier": (
-        "65ffdd38bbc1883e660bb6f3a8ae15662e40b68b27cfa52d810098c5c4e62e28",
+        "9a49ce1b55ad753ca8ecdd3e9452035b5536db55dca0e69f35ece1c008c82e6d",
         "e93d3c9f929373ab44d50d914ff2c1bfd562da8fe3357b16691b4f873df4a663",
     ),
     "mc_forest_regressor": (
-        "5fa627f32727f0c057b131eab7d2c8fda962896ee752ceed745eeec41f70bd5b",
+        "f0724e967c35b89c5ee552a5054cbec0cc90596b54c28a7dee8e08267b3aba1d",
         "f2021ee5afa69efb5ad7ea980fd9562c3655dfc78af666d7ea5dc5606dd7c3dc",
     ),
-    "min_leaf_1_classifier": (
-        "a7be6aad4c7472282a5b1ab69e3cafeccb109554d1d2afdafb19ed370dc93342",
-        "8087dd549b7c760e520be59aad1a05f5ec8c923bf20466aa896f27ada42d48e5",
+    "trees_5_seed_3_classifier": (
+        "706be996f085262f412c780c298a4e6208aeb35b90dfe9ff85b5fe4620857ce6",
+        "2ba901dc82b460d375f262f68116dcd197a0ddb96fe930047e91dbc7414dc2f5",
     ),
-    "min_leaf_1_regressor": (
-        "0633cdf7172f6581d00f3da9950b5c61a8546e225a323c93ad5d3e23eadc979a",
-        "f2577ac1e5900165273c6bd4fbb5e4377fe2808da8954d882055243da5fbec1a",
+    "trees_5_seed_3_regressor": (
+        "180ddf696bb45ad6ba1758ff9d8431ae1ebb7db32c6315aca7cb4eb17ea43fd9",
+        "19e4086584698d5ba94fd14c528e6246ab6222100bfe8c164f0181a59c44cdd4",
     ),
-    "depth_3_all_features_classifier": (
-        "65d792dfd989bfccc838c99fb8bdb42bb3f5114494e98d916772573ffe37bffd",
-        "f9472be971041aef1d51afe875eda4e0d27b6583ebc06e62cb19136856dce78c",
+    "trees_5_seed_4_classifier": (
+        "2b91509522deb015481b32dd2f5f7d44c2f4719e8c05fba889229315958f4757",
+        "b83b7bd4b54653188f5d1dcced5ee23673dd8d312f579428b18e7bca49da923a",
     ),
-    "depth_3_all_features_regressor": (
-        "01f1a30d845a20e50566b3d6b460d0e98aac2fa21c3d84b7a4301329b6a905b5",
-        "05b30b79b46d50bb97f0650921f5d860cb43d5bc606876fa168282bc51a26934",
+    "trees_5_seed_4_regressor": (
+        "bbbb21fc23fc0884b4ae6855d14e50d0d296b23717e13873067aea046428514f",
+        "90fa0fcdc906f8eda37d84c40c0b70b91c168d25d1be49c03b50ef62ec58e7d3",
     ),
-    "no_bootstrap_classifier": (
-        "63f4c849b72005f714b462c1ab2f04b84131b99a9fc6f8a75878abbc5feb8f29",
-        "850f1280ff7ade2a5a45bdc00a29b38b0053d9e854a47ca8439f8b61fc8ee8b2",
+    "trees_5_seed_6_classifier": (
+        "0c7e2e9db57008a904dc406aa7ccab5058a1a36d716cf0eb0f0ec3f69ebf9591",
+        "62c1387bd881a1d3b194026f668300fd0a1ae1a66a4a5d8daf5a19fdaadbffe6",
     ),
-    "no_bootstrap_regressor": (
-        "7c7e5ac7db5f261f2157fffa2cc9944fb3045e865f3904021ce3dd6a242ff0b8",
-        "6da1f038e0a4127748917c0a00d536d8d03fd4f0621f4ed3be752cade46be0ea",
+    "trees_5_seed_6_regressor": (
+        "9f3bc3f9fd99b6ba69e6360eb2bc5a7af785e3d01a3e07b2027280d8ad6d54c0",
+        "883373dddf84428f2914cb377170f40de58b4552ed024a91d4e852d1ccded121",
     ),
 }
 
@@ -220,7 +220,7 @@ def forests(wager):
 
 
 @pytest.mark.parametrize("name", sorted(FOREST_CASES))
-def test_forest_json_and_predictions_are_bit_identical(wager, forests, name):
+def test_forest_digest_and_predictions_are_bit_identical(wager, forests, name):
     model = forests[name]
     digest, predict_sha = GOLDEN_FOREST[name]
     assert model_digest(model) == digest

@@ -206,8 +206,12 @@ class TestVarIPWAdjusted:
         d = random_dataset(3)
         function_like = PropensityModel(lambda x: np.full(len(x), 0.5))
         ols_like = PropensityModel(Linear(0.5, np.zeros(d.p)))
-        forest = fit_forest_classifier(d.x, d.t, ForestConfig(n_trees=2, min_leaf=2))
-        for model in (function_like, ols_like, forest):
+        forest = fit_forest_classifier(d.x, d.t, ForestConfig(n_trees=2))
+        # the correction is that of a logistic fit on (1, x), which a
+        # constant never estimated (on lunceford n=2000 it gave about a
+        # third of var_neyman for the constant n1/n)
+        constant = constant_propensity(d.n1 / d.n)
+        for model in (function_like, ols_like, forest, constant):
             with pytest.raises(ValidationError, match="logistic-model propensities"):
                 var_ipw_mle_adjusted(d, model)
         # a known propensity is not an estimated one: the oracle is refused too

@@ -21,6 +21,7 @@ from riskratio import (
 from riskratio import nuisance
 from riskratio.dgp import DGPSpec, generate
 from riskratio.nuisance import (
+    Constant,
     Linear,
     Logistic,
     OutcomeModel,
@@ -199,8 +200,9 @@ def test_predict_dimension_mismatch():
 def test_clip_validation():
     with pytest.raises(ValidationError):
         constant_propensity(0.5, clip=0.7)
-    with pytest.raises(ValidationError):
-        constant_propensity(1.5)
+    for value in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(ValidationError, match=r"constant propensity must lie in \(0, 1\)"):
+            PropensityModel(Constant(value))
 
 
 _EDGE_LOGITS = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.5, 710.5,

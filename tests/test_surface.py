@@ -1,6 +1,8 @@
-"""The public surface: README names every exported name, and every
-function the per-layer tracer of ``perfbench/layertrace.py`` wraps exists."""
+"""The public surface: README names every exported name, every function
+the per-layer tracer of ``perfbench/layertrace.py`` wraps exists, and
+every test the CI workflow names exists."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -39,3 +41,27 @@ def test_readme_names_every_exported_name():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [n for n in riskratio.__all__ if not re.search(rf"\b{re.escape(n)}\b", readme)]
     assert missing == []
+
+
+def _defines(test_id: str) -> bool:
+    """Whether the file of a ``path::Class::name`` test id defines that chain."""
+    path, *names = test_id.split("::")
+    if not (ROOT / path).is_file():
+        return False
+    body = ast.parse((ROOT / path).read_text(encoding="utf-8")).body
+    for name in names:
+        node = next(
+            (n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name),
+            None,
+        )
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
+def test_every_test_the_workflow_names_exists():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    ids = re.findall(r"tests/[\w/]+\.py(?:::\w+)*", workflow)
+    assert any("::" in i for i in ids)
+    assert [i for i in ids if not _defines(i)] == []
