@@ -220,11 +220,12 @@ def _outcomes(
             rows &= train
         if not rows.any():
             raise EstimationError(f"arm {arm} is empty; cannot fit an outcome model")
+        x_arm, y_arm = np.compress(rows, x, axis=0), np.compress(rows, y)
         if recipe.outcome == "forest":
             cfg = replace(recipe.forest, seed=derive_seed(recipe.forest.seed, *keys, arm))
-            fits.append(forest_regressor_fit(x[rows], y[rows], cfg, arm=arm))
+            fits.append(forest_regressor_fit(x_arm, y_arm, cfg, arm=arm))
         else:
-            fits.append(fit_ols(x[rows], y[rows], arm=arm))
+            fits.append(fit_ols(x_arm, y_arm, arm=arm))
     return fits
 
 
@@ -259,7 +260,7 @@ def _complements(folds: FoldPartition) -> list[np.ndarray]:
 
 def _complements_ok(d: ObservationalDataset, trains: list[np.ndarray]) -> bool:
     for train in trains:
-        t_tr = d.t[train]
+        t_tr = np.compress(train, d.t)
         if t_tr.size == 0 or t_tr.min() == t_tr.max():
             return False
     return True
@@ -298,7 +299,9 @@ def crossfit_nuisances(
         logistic = fit_logistic_subsets(d.x, d.t, trains, clip=recipe.clip)
     fits = []
     for k, train in enumerate(trains, 1):
-        e_k = logistic[k - 1] if logistic else _propensity(d.x[train], d.t[train], recipe, k)
+        e_k = logistic[k - 1] if logistic else _propensity(
+            np.compress(train, d.x, axis=0), np.compress(train, d.t), recipe, k
+        )
         if isinstance(e_k, Exception):
             raise e_k
         fits += [e_k, *_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
@@ -309,7 +312,7 @@ def crossfit_nuisances(
     for train in trains:
         e_k, mu0_k, mu1_k = islice(models, 3)
         held = ~train
-        x_held = d.x[held]
+        x_held = np.compress(held, d.x, axis=0)
         e[held] = e_k.predict(x_held)
         mu0[held] = mu0_k.predict(x_held)
         mu1[held] = mu1_k.predict(x_held)

@@ -14,7 +14,10 @@ A model is a *surface*, a callable from an ``(n, p)`` covariate matrix to
   equal shape at once; :func:`fit_logistic_mle` is its one-problem call,
   and :func:`fit_logistic_subsets` stacks the fits of many row subsets
   (a cross-fit's fold complements) up to ``_BATCH_CELLS`` design cells,
-  the cap of a forest batch;
+  the cap of a forest batch, compressing each design straight from
+  ``x``.  Each Newton step takes one ``exp``: ``exp(-|s|)`` of the
+  candidate index gives its likelihood and, once accepted, the next
+  step's probabilities through :func:`expit`;
 * :class:`~riskratio.trees.Forest`: bagged CART trees for both (see
   :mod:`riskratio.trees`);
 * any other callable, such as a known oracle surface.
@@ -52,14 +55,17 @@ LOGISTIC_MAX_ITER = 100
 _SEPARATION_NORM = 1e4
 
 
-def expit(s: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+def expit(s: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function.
+
+    ``e`` is ``exp(-|s|)`` when the caller holds it already.
+    """
     s = np.asarray(s, dtype=float)
-    # exp(-|s|) never overflows; each side of the where gets the arithmetic
-    # of the textbook branch for its sign
-    e = np.exp(-np.abs(s))
-    d = 1.0 + e
-    return np.where(s >= 0, 1.0 / d, e / d)
+    if e is None:
+        e = np.exp(-np.abs(s))  # never overflows
+    # 1 / (1 + e) for s >= 0 and e / (1 + e) below: the textbook branch of
+    # each sign, in one division
+    return np.where(s >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +144,15 @@ def _as_matrix(x: np.ndarray, n_features: int | None) -> np.ndarray:
     return x
 
 
-def _neg_log_likelihood(s: np.ndarray, t: np.ndarray):
-    """Mean negative log-likelihood of each problem of a stack, one per row of ``s``."""
-    terms = np.logaddexp(0.0, s) - t * s
+def _neg_log_likelihood(s: np.ndarray, t: np.ndarray, e: np.ndarray):
+    """Mean negative log-likelihood of each problem of a stack, one per row of ``s``.
+
+    ``e`` is ``exp(-|s|)``; each term is ``log(1 + exp(s)) - t s``, taken
+    as ``max(s, 0) + log1p(e) - t s``.
+    """
+    terms = np.log1p(e)
+    terms += np.maximum(s, 0.0)
+    terms -= t * s
     return np.add.reduce(terms, axis=-1) / terms.shape[-1]  # np.mean's sum, then its divide
 
 
@@ -154,11 +166,13 @@ def _design(x: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(xt: np.ndarray, t: np.ndarray, beta: np.ndarray):
-    """Linear indices ``(K, n)`` and likelihoods ``(K,)`` of a stack at ``beta``."""
+    """Linear indices ``s`` and ``exp(-|s|)``, both ``(K, n)``, and the
+    likelihoods ``(K,)`` of a stack at ``beta``."""
     s = np.matmul(xt, beta[..., None])[..., 0]
+    e = np.exp(-np.abs(s))
     nll = np.empty(len(beta))
-    nll[:] = _neg_log_likelihood(s, t)
-    return s, nll
+    nll[:] = _neg_log_likelihood(s, t, e)
+    return s, e, nll
 
 
 def fit_logistic_mle(
@@ -231,10 +245,10 @@ def fit_logistic_stack(
     if ids.size < k:
         xt, t = xt[ids], t[ids]
     beta = np.zeros((ids.size, q))
-    s, nll = _evaluate(xt, t, beta)
+    s, e, nll = _evaluate(xt, t, beta)
     progress = np.ones(ids.size, dtype=bool)
     for it in range(max_iter + 1):
-        prob = expit(s)
+        prob = expit(s, e)
         score = np.matmul(xt.transpose(0, 2, 1), (t - prob)[..., None])[..., 0] / n
         score_norm = np.abs(score).max(axis=1)
         # at the rounding floor an accepted step can leave the likelihood
@@ -267,7 +281,7 @@ def fit_logistic_stack(
             if ids.size == 0:
                 break
         cand = beta + step
-        s_cand, nll_cand = _evaluate(xt, t, cand)
+        s_cand, e_cand, nll_cand = _evaluate(xt, t, cand)
         accepted = nll_cand <= nll
         if not accepted.all():
             for j in np.flatnonzero(~accepted):
@@ -278,16 +292,16 @@ def fit_logistic_stack(
                 for _ in range(39):
                     lam *= 0.5
                     c = beta[rows] + lam * step[rows]
-                    sc, nc = _evaluate(xt[rows], t[rows], c)
+                    sc, ec, nc = _evaluate(xt[rows], t[rows], c)
                     if nc[0] <= nll[j]:
                         break
                 else:
                     lam *= 0.5
                     c = beta[rows] + lam * step[rows]
-                    sc, nc = _evaluate(xt[rows], t[rows], c)
-                cand[j], s_cand[j], nll_cand[j] = c[0], sc[0], nc[0]
+                    sc, ec, nc = _evaluate(xt[rows], t[rows], c)
+                cand[j], s_cand[j], e_cand[j], nll_cand[j] = c[0], sc[0], ec[0], nc[0]
         progress = nll_cand < nll
-        beta, s, nll = cand, s_cand, nll_cand
+        beta, s, e, nll = cand, s_cand, e_cand, nll_cand
         size = np.abs(beta).max(axis=1)
         diverged = size > _SEPARATION_NORM
         if diverged.any():
@@ -298,8 +312,8 @@ def fit_logistic_stack(
                 )
                 for j in np.flatnonzero(diverged)
             }
-            ids, xt, t, beta, s, nll, progress = _retire(
-                fits, ends, ids, xt, t, beta, s, nll, progress
+            ids, xt, t, beta, s, e, nll, progress = _retire(
+                fits, ends, ids, xt, t, beta, s, e, nll, progress
             )
             if ids.size == 0:
                 break
@@ -317,8 +331,7 @@ def fit_logistic_subsets(
     solved alone.  Each item is a model or an error, as in
     :func:`fit_logistic_stack`.
     """
-    design = _design(x)
-    q = design.shape[1]
+    q = x.shape[1] + 1
     sizes = [int(np.count_nonzero(r)) for r in subsets]
     fits: list = [None] * len(subsets)
     for n in dict.fromkeys(sizes):
@@ -327,10 +340,11 @@ def fit_logistic_subsets(
         for a in range(0, len(group), per_stack):
             stack = group[a : a + per_stack]
             xt = np.empty((len(stack), n, q))
+            xt[:, :, 0] = 1.0
             ts = np.empty((len(stack), n))
             for j, i in enumerate(stack):
-                np.compress(subsets[i], design, axis=0, out=xt[j])
-                ts[j] = t[subsets[i]]
+                np.compress(subsets[i], x, axis=0, out=xt[j, :, 1:])
+                ts[j] = np.compress(subsets[i], t)
             for i, fit in zip(stack, fit_logistic_stack(xt, ts, clip=clip)):
                 fits[i] = fit
     return fits

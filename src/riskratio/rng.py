@@ -19,7 +19,10 @@ Derived quantities are pinned down exactly:
   ``r = sqrt(-2 log1p(-u1))``, ``z0 = r cos(2 pi u2)``,
   ``z1 = r sin(2 pi u2)``, emitted in that order;
 * bounded integers are ``floor(u * bound)``;
-* permutations are the argsort of ``n`` fresh uniforms (stable ties).
+* permutations are the stable argsort of ``n`` fresh uniforms: tied
+  uniforms keep their draw order.  numpy's default (SIMD) argsort ranks
+  them, and only a sample with two equal uniforms is sorted again
+  stably, so the permutation does not depend on the sort kernel.
 
 Uniforms, bounded integers and permutations are exact arithmetic on the
 integer draws, so they too repeat on every platform.  Normals do not:
@@ -138,5 +141,12 @@ class CounterRng:
         return np.floor(self.uniforms(n) * bound).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Permutation of range(n), the argsort of n fresh uniforms."""
-        return np.argsort(self.uniforms(n), kind="stable")
+        """Permutation of range(n), the stable argsort of n fresh uniforms."""
+        u = self.uniforms(n)
+        perm = np.argsort(u)
+        # without ties the sorted order is unique, so any sort gives the
+        # stable one; only tied uniforms need the slower stable sort
+        ranked = u[perm]
+        if (ranked[1:] == ranked[:-1]).any():
+            perm = np.argsort(u, kind="stable")
+        return perm

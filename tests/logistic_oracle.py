@@ -1,9 +1,12 @@
-"""Reference specification of the logistic fit: the masked ``expit`` and the
-Newton loop that re-evaluated its accepted line-search step.
+"""Reference specification of the logistic fit, kept as test oracles:
 
-These are ``riskratio.nuisance.expit`` and ``fit_logistic_mle`` as they
-were before ``expit`` became branch-free and the Newton loop kept the
-candidate its step-halving search accepted, kept verbatim as test oracles.
+* ``expit``: ``riskratio.nuisance.expit`` before it became branch-free;
+* ``expit_two_divisions``: its branch-free form before it took one division;
+* ``fit_logistic_oracle``: ``fit_logistic_mle`` before its Newton loop kept
+  the candidate its step-halving search accepted; this loop evaluates the
+  accepted step again.  Its likelihood takes the library's expression,
+  ``max(s, 0) + log1p(exp(-|s|)) - t s``.
+
 The current functions must return the same floats, bit for bit.
 """
 
@@ -31,8 +34,17 @@ def expit(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def expit_two_divisions(s: np.ndarray) -> np.ndarray:
+    """Branch-free logistic function, one division on each side of the where."""
+    s = np.asarray(s, dtype=float)
+    e = np.exp(-np.abs(s))
+    d = 1.0 + e
+    return np.where(s >= 0, 1.0 / d, e / d)
+
+
 def _neg_log_likelihood(s: np.ndarray, t: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, s) - t * s))
+    # log(1 + exp(s)) - t s, as the library takes it
+    return float(np.mean(np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - t * s))
 
 
 def fit_logistic_oracle(

@@ -96,7 +96,7 @@ def test_logistic_preconditions():
         fit_logistic_mle(np.zeros((5, 1)), np.ones(5, dtype=int))
 
 
-@pytest.mark.parametrize("seed", [2840, 2292])
+@pytest.mark.parametrize("seed", [2840, 4940])
 def test_logistic_stalled_at_rounding_floor_returns_model(seed):
     # the score stops just above tol while every accepted step leaves the
     # likelihood unchanged; once max_iter runs out the fit is accepted
@@ -221,9 +221,27 @@ def test_expit_matches_masked_oracle(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = expit(s)
+        held = expit(s, np.exp(-np.abs(s)))  # as the Newton loop calls it
     want = logistic_oracle.expit(s)
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    hexes = [v.hex() for v in want.ravel().tolist()]
+    # one division by 1 + e rounds as the two divisions it replaced did
+    for other in (got, held, logistic_oracle.expit_two_divisions(s)):
+        assert [v.hex() for v in other.ravel().tolist()] == hexes
+
+
+def test_likelihood_terms_stay_within_ulps_of_logaddexp():
+    # max(s, 0) + log1p(exp(-|s|)) - t s against logaddexp(0, s) - t s, row
+    # by row, in ulps of the larger of the two operands of the subtraction
+    tiny = np.geomspace(5e-324, 1.0, 3000)
+    s = np.concatenate([np.linspace(0.0, 750.0, 300_001), tiny, [0.0]])
+    s = np.concatenate([s, -s])  # -0.0 too
+    for label in (0.0, 1.0):
+        t = np.full(s.shape, label)
+        got = nuisance._neg_log_likelihood(s[:, None], t[:, None], np.exp(-np.abs(s))[:, None])
+        softplus = np.logaddexp(0.0, s)
+        ulps = np.abs(got - (softplus - t * s)) / np.spacing(np.maximum(softplus, np.abs(t * s)))
+        assert ulps.max() <= 4.0
 
 
 def _fit_counted(monkeypatch, module, fit, x, t, **kw):
@@ -272,7 +290,7 @@ def _separated(n=200):
 _FITS = {
     "lunceford": (lambda: _lunceford(400), {}, 0),
     "one halving": (lambda: _outlier_sample(334), {}, 1),
-    "26 halvings": (lambda: _outlier_sample(78648), {}, 26),
+    "19 halvings": (lambda: _outlier_sample(4770), {}, 19),
     "separated": (_separated, {}, 0),
     "max_iter 2": (lambda: _lunceford(400), {"max_iter": 2}, 0),
 }
@@ -315,13 +333,13 @@ def test_exhausted_line_search_matches_newton_oracle(monkeypatch):
         nll = module._neg_log_likelihood
         blocked = [True]
 
-        def blocking(s, t):
+        def blocking(s, t, *e):  # the library passes exp(-|s|) as well
             size = np.max(np.abs(s))
             if blocked[0] and size > 0.0:
                 if size > floor:
                     return np.inf
                 blocked[0] = False
-            return nll(s, t)
+            return nll(s, t, *e)
 
         with monkeypatch.context() as m:
             m.setattr(module, "_neg_log_likelihood", blocking)
@@ -382,10 +400,10 @@ _STACK_PROBLEMS = {
     "overlap 2": lambda n: _overlapping(8, n),
     "overlap 3": lambda n: _overlapping(13, n),
     "one halving": lambda n: _outlier_sample(334, n),
-    "26 halvings": lambda n: _outlier_sample(78648, n),
+    "19 halvings": lambda n: _outlier_sample(4770, n),
     "37 halvings": lambda n: _outlier_sample(15916, n),
     "stalled": lambda n: _outlier_sample(2840, n),
-    "stalled 2": lambda n: _outlier_sample(2292, n),
+    "stalled 2": lambda n: _outlier_sample(4940, n),
     "separated": _separated,
     "diverging": lambda n: (_separated(n)[0] * 1e-2, _separated(n)[1]),
     "quasi-separated": _quasi_separated,
@@ -401,7 +419,7 @@ _STACK_PROBLEMS = {
     st.sampled_from([3, 100]),
 )
 @example(n=30, names=["overlap", "rank deficient", "one halving"], max_iter=100)
-@example(n=30, names=["overlap", "26 halvings", "stalled", "37 halvings"], max_iter=100)
+@example(n=30, names=["overlap", "19 halvings", "stalled", "37 halvings"], max_iter=100)
 @example(n=30, names=["stalled", "37 halvings", "stalled 2"], max_iter=100)
 # after 5 iterations the first has stalled within 10 * tol and is accepted,
 # while the second still makes progress just above tol and is not

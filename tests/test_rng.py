@@ -96,3 +96,27 @@ def test_permutation_is_a_permutation():
     perm = CounterRng(13).permutation(500)
     assert np.array_equal(np.sort(perm), np.arange(500))
     assert np.array_equal(perm, CounterRng(13).permutation(500))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000, 100_000])
+@pytest.mark.parametrize("seed", [0, 13, derive_seed(7, 3)])
+def test_permutation_is_the_stable_argsort_of_the_uniforms(n, seed):
+    want = np.argsort(CounterRng(seed).uniforms(n), kind="stable")
+    got = CounterRng(seed).permutation(n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_permutation_with_tied_uniforms_takes_the_stable_sort(monkeypatch):
+    # uniforms never tie in practice, so force ties: the stable order must
+    # keep tied draws in draw order whatever the default sort does
+    u = np.repeat([0.75, 0.25, 0.5], 700)[np.arange(2100) * 11 % 2100]
+    kinds = []
+    argsort = np.argsort
+    monkeypatch.setattr(CounterRng, "uniforms", lambda self, n: u[:n])
+    monkeypatch.setattr(
+        np, "argsort", lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind)
+    )
+    got = CounterRng(1).permutation(u.size)
+    assert kinds == [None, "stable"]
+    monkeypatch.undo()
+    assert np.array_equal(got, np.argsort(u, kind="stable"))
