@@ -34,10 +34,14 @@ that takes the forests in order and drops each once used holds one batch
 of forests, plus what it keeps.  The trees of a batch grow together in
 lockstep rounds.  Their rows are stacked in one table, so each tree
 carries its own row offset into it, its own draw offset (its job's ``n``)
-and its own ``mtry``.  Each round pops the next node from every tree's
-depth-first stack, so each tree keeps its own visiting order and draw
-offsets (a level-wise order would not: a node's draw offset depends on how
-many nodes to its left attempted a split).  The split search of every node of the
+and its own ``mtry``.  The trees' depth-first stacks of open nodes are one
+int64 ``(trees, capacity, 3)`` array of ``(node, start, end)`` entries with
+a vector of stack heights, and the capacity doubles when a push would
+overflow it.  Each round pops the next node from every tree's stack in one
+array read and pushes the children of every split node (right, then left)
+in one write, so each tree keeps its own visiting order and draw offsets (a
+level-wise order would not: a node's draw offset depends on how many nodes
+to its left attempted a split).  The split search of every node of the
 round that attempts a split runs in padded ``(node, feature) x rows``
 blocks.  Rows are stably sorted by their dense rank within their job,
 which orders them exactly as ``x`` does (rows of two jobs never share a
@@ -49,13 +53,15 @@ nodes have at least half the chunk's widest row count, which bounds both
 memory and padding.  A round costs a fixed overhead whatever its tree
 count, so growing many small forests in one batch saves time.
 
-Two steps stay as they are.  Node values are summed segment by segment,
-because ``np.add.reduceat`` sums in another order than ``np.add.reduce``
-on a segment (6,272 of the 25,150 node values of one 500-row, 2-fold,
-100-tree cross-fit differed), and an exact vectorised emulation of numpy's
-pairwise sum saved only 0.82 -> 0.74 ms on a 394-node round.  The scan
-keeps its stable argsort of 16-bit ranks, which numpy radix-sorts; every
-other stable ordering tried was slower.
+Node values are summed by one ``np.add.reduceat`` per run of nodes.  On
+a bare segment ``reduceat`` sums in another order than ``np.add.reduce``
+(6,272 of the 25,150 node values of one 500-row, 2-fold, 100-tree
+cross-fit differed): ``reduce`` gives ``+0.0`` plus numpy's pairwise sum
+of the vector, while a ``reduceat`` segment is its first element plus the
+pairwise sum of the rest.  So each node's targets are gathered after a
+``+0.0`` slot, and every value is bit-identical to ``np.add.reduce`` of the
+node alone.  The scan keeps its stable argsort of 16-bit ranks, which numpy
+radix-sorts; every other stable ordering tried was slower.
 """
 
 from __future__ import annotations
@@ -238,23 +244,30 @@ def _grow_forest(jobs):
         row0 += m
         cell0 = cells.stop
     seeds = np.concatenate(seeds)[:, None]
-    stacks = [[(0, 0, m)] for m in n.tolist()]  # (node, start, end)
+    # tree t's depth-first stack holds the open nodes (node, start, end) in
+    # stack[t, :top[t]]; its capacity doubles when a push would overflow it.
+    # Open nodes hold disjoint runs of at least _MIN_LEAF rows, so a stack
+    # never holds more than n // _MIN_LEAF of them.
+    stack = np.zeros((n.size, min(16, max(rows) // _MIN_LEAF), 3), dtype=np.int64)
+    stack[:, 0, 2] = n
+    top = np.ones(n.size, dtype=np.int64)
     n_nodes = np.ones(n.size, dtype=np.int64)
     drawn = np.zeros(n.size, dtype=np.uint64)  # split-attempting nodes so far
     feature_draws = np.arange(p, dtype=np.uint64)
     rounds = []  # per round: (tree, node, value, feature, threshold, left child)
-    active = list(range(n.size))
-    while active:
-        popped = [stacks[t].pop() for t in active]
-        tree = np.array(active)
-        node, start, end = (np.array(c) for c in zip(*popped))
+    tree = np.arange(n.size)  # the trees with open nodes, in tree order
+    while tree.size:
+        top[tree] -= 1
+        node, start, end = stack[tree, top[tree]].T
         m = end - start
         base = buf0[tree] + start
         value, varies = _node_values(ye, buf, base, m)
         feature = np.full(tree.size, _LEAF)
         threshold = np.zeros(tree.size)
         child = np.full(tree.size, _LEAF)
-        rounds.append((tree, node, value, feature, threshold, child))
+        n_left = np.zeros(tree.size, dtype=np.int64)
+        # node is copied so that the record does not keep start and end alive
+        rounds.append((tree, node.copy(), value, feature, threshold, child))
         cand = np.flatnonzero((m >= 2 * _MIN_LEAF) & varies)
         t_cand = tree[cand]
         counters = first_node_draw[t_cand][:, None] + p * drawn[t_cand][:, None] + feature_draws
@@ -279,15 +292,21 @@ def _grow_forest(jobs):
             f, thr, found = _best_splits(xe, rank, idx, ye[idx], m[sel], feats)
             sel = sel[found]
             feature[sel], threshold[sel] = f[found], thr[found]
-            n_left = _partition(buf, xe, idx[found], cell[found], f[found], thr[found])
+            n_left[sel] = _partition(buf, xe, idx[found], cell[found], f[found], thr[found])
             child[sel] = n_nodes[tree[sel]]
             n_nodes[tree[sel]] += 2
-            for i, c, nl in zip(sel.tolist(), child[sel].tolist(), n_left.tolist()):
-                _, s, e = popped[i]
-                # push right first so the left child is processed first
-                stacks[active[i]] += ((c + 1, s + nl, e), (c, s, s + nl))
             a = b
-        active = [t for t in active if stacks[t]]
+        split = np.flatnonzero(child != _LEAF)
+        t = tree[split]
+        at = top[t]
+        if at.size and at.max() + 2 > stack.shape[1]:
+            stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
+        c, s, nl = child[split], start[split], n_left[split]
+        # push right first so the left child is processed first
+        stack[t, at] = np.stack((c + 1, s + nl, end[split]), axis=1)
+        stack[t, at + 1] = np.stack((c, s, s + nl), axis=1)
+        top[t] += 2
+        tree = tree[top[tree] > 0]
     del buf, xe, ye, rank  # the batch's rows are not needed to assemble its trees
     return _assemble(n_nodes, rounds, n_trees)
 
@@ -296,10 +315,13 @@ def _node_values(ye, buf, base, m):
     """Each node's value and whether its targets vary.
 
     Node ``i`` holds the rows ``buf[base[i] : base[i] + m[i]]``; its value
-    is the mean of their targets, summed in that order by ``np.add.reduce``.
-    Targets are gathered for runs of consecutive nodes of at most
-    ``_CELL_BUDGET`` rows (a larger node alone), so a batch's first round,
-    which reads every cell of the buffer, holds one run at a time.
+    is the mean of their targets, summed in that order by ``np.add.reduce``:
+    one ``np.add.reduceat`` sums the nodes of a run, each node's targets
+    after a ``+0.0`` slot (module docstring), which the last cell of ``buf``
+    fills with the padding row's target.  Targets are gathered for runs of
+    consecutive nodes of at most ``_CELL_BUDGET`` rows (a larger node
+    alone), so a batch's first round, which reads every cell of the buffer,
+    holds one run at a time.
     """
     value = np.empty(m.size)
     varies = np.empty(m.size, dtype=bool)
@@ -307,15 +329,18 @@ def _node_values(ye, buf, base, m):
     a = 0
     while a < m.size:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - m[a] + _CELL_BUDGET, side="right")))
-        size = m[a:b]
+        size = m[a:b] + 1  # a slot, then the node's targets
         offs = np.cumsum(size) - size
-        at = np.repeat(base[a:b] - offs, size)
+        at = np.repeat(base[a:b] - offs - 1, size)
         at += np.arange(at.size)
+        at[offs] = buf.size - 1
         ys = ye[buf[at]]
-        value[a:b] = [
-            float(np.add.reduce(ys[o : o + k])) / k for o, k in zip(offs.tolist(), size.tolist())
-        ]
-        varies[a:b] = np.minimum.reduceat(ys, offs) < np.maximum.reduceat(ys, offs)
+        value[a:b] = np.add.reduceat(ys, offs) / m[a:b]
+        # each node's targets, then the next node's slot
+        edges = np.empty(2 * offs.size - 1, dtype=np.int64)
+        edges[0::2] = offs + 1
+        edges[1::2] = offs[1:]
+        varies[a:b] = np.minimum.reduceat(ys, edges)[0::2] < np.maximum.reduceat(ys, edges)[0::2]
         a = b
     return value, varies
 
@@ -367,20 +392,30 @@ def _best_splits(xe, rank, idx, ys, m, feats):
     mtry = feats.shape[1]
     scan = np.arange(k * mtry)
     of_node = scan // mtry
-    keys = rank[idx[of_node], feats.ravel()[:, None]]
+    cell = (idx * rank.shape[1])[:, None, :] + feats[:, :, None]  # rank's raveled cells
+    keys = rank.take(cell.reshape(k * mtry, w))
     order = np.argsort(keys, axis=1, kind="stable")
-    keys = keys[scan[:, None], order]
-    cs = np.cumsum(ys[of_node[:, None], order], axis=1)
+    keys = keys.take(order + (scan * w)[:, None])
+    cs = ys.take(order + (of_node * w)[:, None])
+    np.cumsum(cs, axis=1, out=cs)
     lo = _MIN_LEAF
     sizes = np.arange(lo, w - lo + 1, dtype=np.float64)  # left sizes of each cut
     left = cs[:, lo - 1 : w - lo]
     size = m[of_node]
     total = cs[scan, size - 1][:, None]
     mf = size.astype(np.float64)[:, None]
+    right_sizes = mf - sizes
+    # left * left / sizes + (total - left) ** 2 / right_sizes, in place
+    gain = left * left
+    gain /= sizes
+    right = total - left
+    right *= right
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = left * left / sizes + (total - left) ** 2 / (mf - sizes)
-    usable = (keys[:, lo - 1 : w - lo] < keys[:, lo : w - lo + 1]) & (sizes <= mf - lo)
-    gain[~usable] = -np.inf
+        right /= right_sizes
+    gain += right
+    blocked = keys[:, lo - 1 : w - lo] >= keys[:, lo : w - lo + 1]
+    blocked |= right_sizes < lo
+    np.putmask(gain, blocked, -np.inf)
     j = np.argmax(gain, axis=1)  # first max: smallest threshold wins ties
     best = gain[scan, j] - total[:, 0] * total[:, 0] / mf[:, 0]
     best = np.where(best > 0.0, best, 0.0).reshape(k, mtry)
@@ -397,10 +432,11 @@ def _partition(buf, xe, idx, cell, feature, threshold):
     """Stably reorder each split node's rows in ``buf``, left child first.
 
     Returns each node's left-child size.  Padding rows (``x = +inf``) go
-    right and were last, so they stay last.
+    right and were last, so they stay last, and writing them back only
+    writes the padding row into the last cell of ``buf`` again.
     """
-    go_left = xe[idx, feature[:, None]] <= threshold[:, None]
+    k, w = idx.shape
+    go_left = xe.take(idx * xe.shape[1] + feature[:, None]) <= threshold[:, None]
     order = np.argsort(~go_left, axis=1, kind="stable")
-    real = cell != buf.size - 1
-    buf[cell[real]] = idx[np.arange(idx.shape[0])[:, None], order][real]
+    buf[cell] = idx.take(order + (np.arange(k) * w)[:, None])
     return go_left.sum(axis=1)

@@ -264,3 +264,107 @@ def test_stacked_rows_past_uint16_ranks_match_forests_grown_alone():
         jobs.append((x, (x[:, 0] > 2.0).astype(float), ForestConfig(n_trees=1, seed=s), 2))
     for job, forest in zip(jobs, trees.fit_forests(jobs)):
         _assert_same_forest(forest, fit_forest(*job), job[0])
+
+
+def _per_node_values(ye, buf, base, m):
+    """Each node's value as ``float(np.add.reduce(targets)) / m`` and
+    whether its targets vary, one node at a time."""
+    ys = [ye[buf[b : b + k]] for b, k in zip(base.tolist(), m.tolist())]
+    value = np.array([float(np.add.reduce(t)) / t.size for t in ys])
+    return value, np.array([t.min() < t.max() for t in ys])
+
+
+_DEFAULT_CELL_BUDGET = trees._CELL_BUDGET
+_TARGETS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    _REAL_Y,
+    st.floats(-1e8, 1e8),
+    st.floats(-1e-8, 1e-8),
+)
+
+
+@st.composite
+def node_layouts(draw):
+    """One round's targets ``ye``, row buffer ``buf`` and nodes ``(base, m)``.
+
+    As in ``trees._grow_forest``, the last target is the padding row's
+    ``+0.0`` and the last cell of ``buf`` points at it.  Each node's
+    targets are mixed, all ``-0.0`` or all equal, and one node may hold more
+    rows than the default ``_CELL_BUDGET``.  Rows are shuffled in ``buf``.
+    """
+    kinds = st.tuples(st.sampled_from(["mixed", "negative zero", "equal"]), st.integers(1, 120))
+    targets = []
+    for kind, size in draw(st.lists(kinds, min_size=1, max_size=12)):
+        if kind == "mixed":
+            targets.append(draw(arrays(np.float64, size, elements=_TARGETS)))
+        else:
+            targets.append(np.full(size, -0.0 if kind == "negative zero" else draw(_TARGETS)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        size = _DEFAULT_CELL_BUDGET + draw(st.integers(1, 1000))
+        big = g.normal(size=size) * 10.0 ** g.integers(-8, 9, size)
+        targets.insert(draw(st.integers(0, len(targets))), big)
+    m = np.array([t.size for t in targets])
+    rows = g.permutation(int(m.sum()))
+    ye = np.zeros(rows.size + 1)
+    ye[rows] = np.concatenate(targets)
+    return ye, np.append(rows, rows.size), np.cumsum(m) - m, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_layouts())
+def test_node_values_equal_per_node_sums(layout):
+    # one reduceat per run, whatever the runs, sums each node as
+    # np.add.reduce sums it alone, bit for bit (-0.0 included)
+    want_value, want_varies = _per_node_values(*layout)
+    for budget in (1, 50, _DEFAULT_CELL_BUDGET):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trees, "_CELL_BUDGET", budget)
+            value, varies = trees._node_values(*layout)
+        assert value.tobytes() == want_value.tobytes()
+        assert np.array_equal(varies, want_varies)
+
+
+def test_reduceat_after_zero_slot_equals_reduce():
+    # trees._node_values rests on this: np.add.reduce of a vector is +0.0
+    # plus numpy's pairwise sum of it, and a reduceat segment is its first
+    # element plus the pairwise sum of the rest, so a segment led by a +0.0
+    # slot sums as reduce sums the vector alone.  Two lengths pass 8,192,
+    # numpy's ufunc buffer size.
+    g = np.random.default_rng(17)
+    lengths = [*range(1, 5_001), 8_193, 20_000]
+    segments = []
+    for size in lengths:
+        y = g.normal(size=size) * 10.0 ** g.integers(-8, 9, size)
+        y[g.random(size) < 0.05] = -0.0
+        segments.append(y)
+    segments.append(np.full(40, -0.0))
+    slotted = np.concatenate([np.append(0.0, y) for y in segments])
+    slots = np.cumsum([0] + [y.size + 1 for y in segments[:-1]])
+    want = np.array([np.add.reduce(y) for y in segments])
+    assert np.add.reduceat(slotted, slots).tobytes() == want.tobytes()
+
+
+def _stack_peak(tree):
+    """Most open nodes on a depth-first stack that grows ``tree``."""
+    stack, peak = [0], 1
+    while stack:
+        node = stack.pop()
+        if tree.left[node] != trees._LEAF:
+            stack += [tree.right[node], tree.left[node]]
+            peak = max(peak, len(stack))
+    return peak
+
+
+def test_deep_trees_grow_their_stacks_and_match_oracle():
+    # y doubles every two rows, so each split puts a few of the largest
+    # targets in the right child and the trees are 102-105 levels deep; the
+    # right children wait on the depth-first stack while the left chain
+    # grows, so each stack holds over 100 open nodes and the grower's stack
+    # array doubles its initial capacity of 16 three times
+    x = np.arange(600.0)[:, None]
+    y = 2.0 ** (np.arange(600) / 2)
+    cfg = ForestConfig(n_trees=3, seed=5)
+    forest = fit_forest(x, y, cfg, mtry=1)
+    assert min(_stack_peak(tree) for tree in forest.trees) > 100
+    _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, mtry=1), x)

@@ -401,7 +401,7 @@ _STACK_PROBLEMS = {
     "overlap 3": lambda n: _overlapping(13, n),
     "one halving": lambda n: _outlier_sample(334, n),
     "19 halvings": lambda n: _outlier_sample(4770, n),
-    "37 halvings": lambda n: _outlier_sample(15916, n),
+    "36 halvings": lambda n: _outlier_sample(30810, n),
     "stalled": lambda n: _outlier_sample(2840, n),
     "stalled 2": lambda n: _outlier_sample(4940, n),
     "separated": _separated,
@@ -419,8 +419,8 @@ _STACK_PROBLEMS = {
     st.sampled_from([3, 100]),
 )
 @example(n=30, names=["overlap", "rank deficient", "one halving"], max_iter=100)
-@example(n=30, names=["overlap", "19 halvings", "stalled", "37 halvings"], max_iter=100)
-@example(n=30, names=["stalled", "37 halvings", "stalled 2"], max_iter=100)
+@example(n=30, names=["overlap", "19 halvings", "stalled", "36 halvings"], max_iter=100)
+@example(n=30, names=["stalled", "36 halvings", "stalled 2"], max_iter=100)
 # after 5 iterations the first has stalled within 10 * tol and is accepted,
 # while the second still makes progress just above tol and is not
 @example(n=30, names=["stalled", "overlap 3"], max_iter=5)
