@@ -221,11 +221,11 @@ def fit_logistic_stack(
     column is ones: ``xt`` is ``(K, n, p+1)`` and ``t`` is ``(K, n)``, both
     float and C-contiguous.  Each Newton step makes one stacked ``matmul``
     per product, one ``np.linalg.solve`` and one ``_neg_log_likelihood``
-    call for the problems still running; every problem keeps its own
-    step-halving, stall flag and stopping point, and the stack is copied
-    smaller only when a problem finishes.  Each problem's coefficients, or
-    its error, are bit for bit what it gets alone, on the same numpy and
-    BLAS build.
+    call over the whole stack, whose shape never changes: a problem that
+    finishes stays in place with a zero step.  The steps rejected in one
+    iteration halve together, one ``_neg_log_likelihood`` call per halving.
+    Each problem's coefficients, or its error, are bit for bit what it
+    gets alone, on the same numpy and BLAS build.
 
     Returns one item per problem: its :class:`PropensityModel`, or the
     :class:`ValidationError`, :class:`RankDeficiencyError`,
@@ -236,17 +236,18 @@ def fit_logistic_stack(
     if n < q:
         return [ValidationError(f"need at least p+1={q} rows, got {n}") for _ in range(k)]
     fits: list = [None] * k
-    for i, n1 in enumerate(t.sum(axis=1)):
-        if int(n1) in (0, n):
-            fits[i] = ValidationError("both treatment arms must be non-empty")
-    ids = np.array([i for i in range(k) if fits[i] is None], dtype=np.int64)
-    if ids.size == 0:
+    n1 = t.sum(axis=1).astype(np.int64)
+    running = (n1 != 0) & (n1 != n)
+    for i in np.flatnonzero(~running):
+        fits[i] = ValidationError("both treatment arms must be non-empty")
+    if not running.any():
         return fits
-    if ids.size < k:
-        xt, t = xt[ids], t[ids]
-    beta = np.zeros((ids.size, q))
+    # masking the frozen problems costs every step, so it starts only once a
+    # problem has finished
+    finished = not running.all()
+    beta = np.zeros((k, q))
     s, e, nll = _evaluate(xt, t, beta)
-    progress = np.ones(ids.size, dtype=bool)
+    progress = np.ones(k, dtype=bool)
     for it in range(max_iter + 1):
         prob = expit(s, e)
         score = np.matmul(xt.transpose(0, 2, 1), (t - prob)[..., None])[..., 0] / n
@@ -257,66 +258,67 @@ def fit_logistic_stack(
         done = score_norm <= tol
         if it == max_iter:
             done |= ~progress & (score_norm <= 10.0 * tol)
+        if finished:
+            done &= running
         if it == max_iter or done.any():
-            ends = {}
-            for j in np.flatnonzero(done | (it == max_iter)):
+            ends = running if it == max_iter else done
+            for j in np.flatnonzero(ends):
                 if done[j]:
-                    ends[j] = _converged_fit(xt[j], t[j], s[j], prob[j], beta[j], tol, clip)
+                    fits[j] = _converged_fit(xt[j], t[j], s[j], prob[j], beta[j], tol, clip)
                 else:
-                    ends[j] = ConvergenceError(
+                    fits[j] = ConvergenceError(
                         f"no convergence after {max_iter} iterations; "
                         f"score max-norm {score_norm[j]:.3e}"
                     )
-            ids, xt, t, beta, s, nll, prob, score, score_norm = _retire(
-                fits, ends, ids, xt, t, beta, s, nll, prob, score, score_norm
-            )
-            if ids.size == 0:
+            running &= ~ends
+            if not running.any():
                 break
+            finished = True
         w = prob * (1.0 - prob)
         hess = np.matmul((xt * w[..., None]).transpose(0, 2, 1), xt) / n
+        if finished:  # a zero step for each finished problem
+            hess[~running], score[~running] = np.eye(q), 0.0
         step, singular = _newton_steps(hess, score)
         if singular:
-            ends = {j: _singular_fit(xt[j], score_norm[j], beta[j]) for j in singular}
-            ids, xt, t, beta, s, nll, step = _retire(fits, ends, ids, xt, t, beta, s, nll, step)
-            if ids.size == 0:
+            for j in singular:
+                fits[j] = _singular_fit(xt[j], score_norm[j], beta[j])
+            running[singular] = False
+            if not running.any():
                 break
+            finished = True
         cand = beta + step
         s_cand, e_cand, nll_cand = _evaluate(xt, t, cand)
-        accepted = nll_cand <= nll
-        if not accepted.all():
-            for j in np.flatnonzero(~accepted):
-                # halve this problem's step alone, up to 40 tries in all; if
-                # every one fails, step by lam = 2**-40 and evaluate there
-                rows = slice(j, j + 1)
-                lam = 1.0
-                for _ in range(39):
-                    lam *= 0.5
-                    c = beta[rows] + lam * step[rows]
-                    sc, ec, nc = _evaluate(xt[rows], t[rows], c)
-                    if nc[0] <= nll[j]:
-                        break
-                else:
-                    lam *= 0.5
-                    c = beta[rows] + lam * step[rows]
-                    sc, ec, nc = _evaluate(xt[rows], t[rows], c)
-                cand[j], s_cand[j], e_cand[j], nll_cand[j] = c[0], sc[0], ec[0], nc[0]
+        rejected = ~(nll_cand <= nll)
+        if finished:
+            rejected &= running
+        rows = np.flatnonzero(rejected)
+        lam = 1.0
+        while rows.size:
+            # halve the rejected steps together, up to 40 tries in all; the
+            # 40th, lam = 2**-40, is taken whatever its likelihood
+            lam *= 0.5
+            c = beta[rows] + lam * step[rows]
+            sc, ec, nc = _evaluate(xt[rows], t[rows], c)
+            ok = (nc <= nll[rows]) | (lam == 0.5**40)
+            took = rows[ok]
+            cand[took], s_cand[took], e_cand[took], nll_cand[took] = c[ok], sc[ok], ec[ok], nc[ok]
+            rows = rows[~ok]
         progress = nll_cand < nll
         beta, s, e, nll = cand, s_cand, e_cand, nll_cand
         size = np.abs(beta).max(axis=1)
         diverged = size > _SEPARATION_NORM
+        if finished:
+            diverged &= running
         if diverged.any():
-            ends = {
-                j: SeparationError(
+            for j in np.flatnonzero(diverged):
+                fits[j] = SeparationError(
                     f"diverging coefficients (max |beta| = {size[j]:.3e}); "
                     "data are (quasi-)separated"
                 )
-                for j in np.flatnonzero(diverged)
-            }
-            ids, xt, t, beta, s, e, nll, progress = _retire(
-                fits, ends, ids, xt, t, beta, s, e, nll, progress
-            )
-            if ids.size == 0:
+            running &= ~diverged
+            if not running.any():
                 break
+            finished = True
     return fits
 
 
@@ -350,26 +352,16 @@ def fit_logistic_subsets(
     return fits
 
 
-def _retire(fits: list, ends: dict, ids: np.ndarray, *stack: np.ndarray) -> list:
-    """Record the results ``ends`` (stack position -> result) in ``fits``;
-    return ``ids`` and the ``stack`` arrays without those positions."""
-    keep = np.ones(ids.size, dtype=bool)
-    for j, fit in ends.items():
-        fits[ids[j]] = fit
-        keep[j] = False
-    return [a[keep] for a in (ids, *stack)]
-
-
 def _newton_steps(hess: np.ndarray, score: np.ndarray):
     """Newton steps of a stack and the positions whose information matrix
-    is singular (their steps are undefined)."""
+    is singular (their steps are zero)."""
     try:
         return np.linalg.solve(hess, score[..., None])[..., 0], []
     except np.linalg.LinAlgError:
         if len(hess) == 1:
-            return np.empty_like(score), [0]
+            return np.zeros_like(score), [0]
     # one singular matrix fails the whole stacked solve: solve each alone
-    step = np.empty_like(score)
+    step = np.zeros_like(score)
     singular = []
     for j in range(len(hess)):
         try:

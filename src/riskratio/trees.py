@@ -187,6 +187,8 @@ def _checked(x, y, cfg, mtry):
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape
     cfg.validate(n)
+    if p == 0:
+        raise ValidationError("forests need at least one covariate column")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("forest inputs must be finite (no NaN or inf in x or y)")
     return x, y, cfg, min(p, max(1, mtry))
@@ -371,8 +373,9 @@ def _assemble(n_nodes, rounds, n_trees):
     for size in n_trees:
         b = a + size
         lo = first[a]
-        own = (f[lo : first[b - 1] + n_nodes[b - 1]].copy() for f in fields)
-        trees = [Tree(*t) for t in zip(*(np.split(f, first[a + 1 : b] - lo) for f in own))]
+        own = [f[lo : first[b - 1] + n_nodes[b - 1]].copy() for f in fields]
+        starts = (first[a:b] - lo).tolist()
+        trees = [Tree(*(f[i : i + k] for f in own)) for i, k in zip(starts, n_nodes[a:b].tolist())]
         forests.append(Forest(trees))
         a = b
     return forests

@@ -89,6 +89,21 @@ class TestEstimate:
         assert capsys.readouterr().err == "error: parametric_g: need at least p+1=3 rows, got 2\n"
         assert not (tmp_path / "o" / "report.csv").exists()
 
+    def test_forest_nuisance_without_covariates_exits_two(self, tmp_path, capsys):
+        # a y,t CSV loads, and parametric aipw fits it by intercepts alone,
+        # but a forest has no column to split on
+        g = np.random.default_rng(0)
+        t = (g.random(60) < 0.5).astype(int)
+        y = (g.random(60) < 0.3 + 0.2 * t).astype(int)
+        path = tmp_path / "no_covariates.csv"
+        path.write_text("y,t\n" + "".join(f"{a},{b}\n" for a, b in zip(y, t)), encoding="utf-8")
+        argv = ["estimate", "--input", str(path), "--estimators"]
+        assert main([*argv, "aipw", "--out", str(tmp_path / "p")]) == 0
+        assert main([*argv, "aipw:forest", "--out", str(tmp_path / "f")]) == 2
+        message = "error: forest_aipw: forests need at least one covariate column\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "f" / "report.csv").exists()
+
     def test_failed_interval_keeps_the_point_in_the_report(self, tmp_path):
         # the control outcomes are negative, so the arm-means ratio is -1.5 and
         # has no log-scale interval

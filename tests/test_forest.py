@@ -251,6 +251,14 @@ def test_a_bad_last_job_raises_before_any_batch_grows(monkeypatch):
     assert grown == []
 
 
+def test_a_job_without_covariates_raises_before_any_batch_grows(monkeypatch):
+    grown = _counting_growth(monkeypatch)
+    x, y, cfg, _ = _jobs(50)[0]
+    with pytest.raises(ValidationError, match="at least one covariate column"):
+        trees.fit_forests([(x, y, cfg, 1), (np.empty((50, 0)), y, cfg, 1)])
+    assert grown == []
+
+
 def test_stacked_rows_past_uint16_ranks_match_forests_grown_alone():
     # 2 x 33,000 stacked rows pass the 65,535 that a uint16 rank table
     # holds, while each job alone stays below it; the targets step up among

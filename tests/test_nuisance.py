@@ -263,7 +263,7 @@ def _fit_counted(monkeypatch, module, fit, x, t, **kw):
         m.setattr(np.linalg, "solve", counting_solve)
         try:
             return fit(x, t, **kw), counts
-        except (ConvergenceError, SeparationError) as exc:
+        except (ValidationError, RankDeficiencyError, ConvergenceError, SeparationError) as exc:
             return (type(exc), str(exc)), counts
 
 
@@ -292,6 +292,7 @@ _FITS = {
     "one halving": (lambda: _outlier_sample(334), {}, 1),
     "19 halvings": (lambda: _outlier_sample(4770), {}, 19),
     "separated": (_separated, {}, 0),
+    "diverging": (lambda: (_separated(30)[0] * 1e-2, _separated(30)[1]), {}, 0),
     "max_iter 2": (lambda: _lunceford(400), {"max_iter": 2}, 0),
 }
 
@@ -316,6 +317,24 @@ def test_logistic_fit_matches_newton_oracle(monkeypatch, name):
     # the oracle evaluated one likelihood more per step: the accepted candidate again
     assert old["nll"] == 1 + 2 * steps + halvings
     assert new["nll"] == 1 + steps + halvings
+
+
+@pytest.mark.parametrize(
+    "name, error, evaluations",
+    [("rank deficient", RankDeficiencyError, 1), ("one arm", ValidationError, 0)],
+)
+def test_fits_that_cannot_step_stop_at_once(monkeypatch, name, error, evaluations):
+    # the rank-deficient fit evaluates its start and fails its one solve; the
+    # one-arm fit is refused before either
+    x, t = _STACK_PROBLEMS[name](30)
+    got, counts = _fit_counted(monkeypatch, nuisance, fit_logistic_mle, x, t)
+    assert got[0] is error
+    assert counts == {"nll": evaluations, "steps": evaluations}
+    # and so does the last problem of a stack whose other one was refused
+    xt, ts = _stack([_STACK_PROBLEMS["one arm"](30), (x, t)])
+    fits, counts = _fit_counted(monkeypatch, nuisance, fit_logistic_stack, xt, ts)
+    assert [type(fit) for fit in fits] == [ValidationError, error]
+    assert counts["nll"] == evaluations
 
 
 def test_exhausted_line_search_matches_newton_oracle(monkeypatch):
@@ -429,6 +448,22 @@ def test_stacked_logistic_fits_equal_fits_alone(n, names, max_iter):
     stacked = fit_logistic_stack(*_stack(problems), max_iter=max_iter)
     alone = [_fit_alone(x, t, max_iter=max_iter) for x, t in problems]
     assert [_fit_or_error(fit) for fit in stacked] == alone
+
+
+def test_rejected_steps_of_a_stack_halve_together(monkeypatch):
+    # both problems reject the steps of some same iterations: those halvings
+    # must evaluate them together, where a problem halving alone is one row
+    problems = [_STACK_PROBLEMS["19 halvings"](30), _STACK_PROBLEMS["36 halvings"](30)]
+    events = []
+    evaluate, solve = nuisance._evaluate, np.linalg.solve
+    monkeypatch.setattr(nuisance, "_evaluate", lambda *a: events.append(len(a[2])) or evaluate(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: events.append("solve") or solve(*a))
+    stacked = [_fit_or_error(fit) for fit in fit_logistic_stack(*_stack(problems))]
+    monkeypatch.undo()
+    # the start and each step evaluate the whole stack; any other evaluation
+    # of two problems is a shared halving
+    assert events.count(2) > 1 + events.count("solve")
+    assert stacked == [_fit_alone(x, t) for x, t in problems]
 
 
 def test_a_singular_problem_in_a_stack_falls_back_to_solving_each_alone(monkeypatch):
