@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from riskratio import (
 )
 from riskratio.dgp import DGPSpec, generate
 from riskratio import trees
+from riskratio.nuisance import forest_regressor_fit, grow_forest_fits
 from riskratio.rng import CounterRng
 from riskratio.trees import fit_forest
 
@@ -239,6 +242,31 @@ def test_forests_stream_one_batch_per_request(monkeypatch):
         _assert_same_forest(forest, fit_forest_oracle(*job), job[0])
 
 
+def test_the_stream_lets_go_of_each_batch_once_it_grew(monkeypatch):
+    # the forests of the first job, then of the last two, as above
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
+    jobs = _jobs(50, 40, 30)
+    rows = [weakref.ref(x) for x, _, _, _ in jobs]
+    forests = trees.fit_forests(jobs)
+    del jobs
+    first = next(forests)
+    assert [r() is None for r in rows] == [True, False, False]
+    assert first.trees and len(list(forests)) == 2
+    assert [r() is None for r in rows] == [True, True, True]
+
+
+def test_forest_fits_let_go_of_each_batch_once_it_grew(monkeypatch):
+    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
+    fits = [forest_regressor_fit(x, y, cfg) for x, y, cfg, _ in _jobs(50, 40, 30)]
+    rows = [weakref.ref(f.job[0]) for f in fits]
+    models = grow_forest_fits(fits)
+    del fits
+    next(models)
+    assert [r() is None for r in rows] == [True, False, False]
+    assert len(list(models)) == 2
+    assert [r() is None for r in rows] == [True, True, True]
+
+
 def test_a_bad_last_job_raises_before_any_batch_grows(monkeypatch):
     monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
     grown = _counting_growth(monkeypatch)
@@ -376,3 +404,28 @@ def test_deep_trees_grow_their_stacks_and_match_oracle():
     forest = fit_forest(x, y, cfg, mtry=1)
     assert min(_stack_peak(tree) for tree in forest.trees) > 100
     _assert_same_forest(forest, fit_forest_oracle(x, y, cfg, mtry=1), x)
+
+
+# x and y both count 0..39, so a node of 10 or more rows mostly splits, and a
+# split of 10 to 19 rows leaves two leaves of under 10 on top of the stack,
+# above the next node that may split
+@pytest.mark.parametrize("budget", [1, _DEFAULT_CELL_BUDGET])
+def test_rounds_pop_runs_of_leaves_with_the_next_node_that_may_split(monkeypatch, budget):
+    monkeypatch.setattr(trees, "_CELL_BUDGET", budget)
+    rounds = []  # nodes per round
+    values = trees._node_values
+    monkeypatch.setattr(trees, "_node_values", lambda *a: rounds.append(a[3].size) or values(*a))
+    x = np.arange(40.0)[:, None]
+    cfg = ForestConfig(n_trees=1, seed=9)
+    forest = fit_forest(x, x[:, 0], cfg, mtry=1)
+    assert max(rounds) > 1  # some round pops more than one node
+    assert len(rounds) < sum(rounds) == forest.trees[0].feature.size
+    _assert_same_forest(forest, fit_forest_oracle(x, x[:, 0], cfg, mtry=1), x)
+    # a batch of trees of unequal sizes
+    g = np.random.default_rng(18)
+    jobs = [(x, x[:, 0], ForestConfig(n_trees=5, seed=9), 1)]
+    for n in (30, 70):
+        xs = np.round(g.normal(size=(n, 3)), 1)
+        jobs.append((xs, np.sin(xs[:, 0]) + g.normal(size=n), ForestConfig(n_trees=4, seed=n), 2))
+    for job, grown in zip(jobs, trees.fit_forests(jobs)):
+        _assert_same_forest(grown, fit_forest_oracle(*job), job[0])
