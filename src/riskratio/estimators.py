@@ -27,7 +27,6 @@ import numpy as np
 from .data import ObservationalDataset
 from .errors import EstimationError, ValidationError
 from .nuisance import (
-    ForestFit,
     OutcomeModel,
     PropensityModel,
     fit_logistic_mle,
@@ -38,7 +37,7 @@ from .nuisance import (
     grow_forest_fits,
 )
 from .rng import CounterRng, derive_seed
-from .trees import ForestConfig, fit_forests
+from .trees import ForestConfig
 
 NOTE_CONSTANT_PROPENSITY = "assumes-constant-treatment-probability"
 
@@ -284,41 +283,7 @@ def crossfit_nuisances(
     ``mu1`` from one :func:`~.nuisance.grow_forest_fits` stream, which
     grows a lockstep batch when it reaches the batch's first forest; the
     three models score the held-out fold and are dropped before the next
-    fold's are taken.  This is the one-item call of :func:`crossfit_group`.
-    """
-    (scores,) = crossfit_group([(d, folds, recipe)])
-    if isinstance(scores, Exception):
-        raise scores
-    return scores
-
-
-def crossfit_group(items: list) -> list:
-    """The :func:`crossfit_nuisances` of each ``(d, folds, recipe)`` item, in order.
-
-    Each item gives its :class:`CrossfitScores`, or the
-    :class:`~.errors.ValidationError` / :class:`~.errors.EstimationError`
-    it raises alone.  Every item is set up, and its forest jobs checked,
-    before any forest grows, so a bad item fails alone; the forests of all
-    items then come from one :func:`~.nuisance.grow_forest_fits` stream,
-    whose lockstep batches may span items, and each item is scored in turn,
-    fold by fold, as :func:`crossfit_nuisances` scores it.
-    """
-    fits, setups = [], []
-    for d, folds, recipe in items:
-        try:
-            setups.append((d, *_set_up(d, folds, recipe, fits)))
-        except (ValidationError, EstimationError) as exc:
-            setups.append(exc)
-    models = grow_forest_fits(fits)
-    del fits  # only the stream holds the forest inputs, each until its batch grows
-    return [s if isinstance(s, Exception) else _scores(*s, models) for s in setups]
-
-
-def _set_up(d: ObservationalDataset, folds: FoldPartition, recipe: NuisanceRecipe, fits: list):
-    """The cross-fit's folds and fold complements; its models' fits join ``fits``.
-
-    Every forest job is checked here, so ``fits`` gains nothing when this
-    cross-fit raises.
+    fold's are taken.
     """
     if folds.assignment.shape[0] != d.n:
         raise ValidationError("fold assignment length does not match dataset")
@@ -332,21 +297,15 @@ def _set_up(d: ObservationalDataset, folds: FoldPartition, recipe: NuisanceRecip
     logistic = None
     if recipe.propensity == "logistic":
         logistic = fit_logistic_subsets(d.x, d.t, trains, clip=recipe.clip)
-    own = []
+    fits = []
     for k, train in enumerate(trains, 1):
         e_k = logistic[k - 1] if logistic else _propensity(
             np.compress(train, d.x, axis=0), np.compress(train, d.t), recipe, k
         )
         if isinstance(e_k, Exception):
             raise e_k
-        own += [e_k, *_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
-    fit_forests([f.job for f in own if isinstance(f, ForestFit)])  # checks them, grows none
-    fits += own
-    return folds, trains
-
-
-def _scores(d: ObservationalDataset, folds: FoldPartition, trains: list, models) -> CrossfitScores:
-    """Score each held-out fold with the next three of ``models``."""
+        fits += [e_k, *_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
+    models = grow_forest_fits(fits)
     e = np.empty(d.n)
     mu0 = np.empty(d.n)
     mu1 = np.empty(d.n)

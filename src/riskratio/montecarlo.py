@@ -11,19 +11,6 @@ identical reports and replications can be re-aggregated after the fact.
 stages look the estimators up in this module's globals when called, so
 rebinding one here (as a per-layer tracer does) reaches every call.
 
-Replications run in groups: consecutive replications of one sample size,
-as many as fit each forest cross-fit's cells in one lockstep batch of
-``_BATCH_CELLS`` (see :mod:`riskratio.trees`); a plan without forest
-cross-fits runs groups of one.  A group draws its samples, then goes
-configuration by configuration: a forest ``os`` / ``aipw`` goes through
-one :func:`~.estimators.crossfit_group` call for all its replications,
-which grows their forests in shared batches and scores each as
-:func:`~.estimators.crossfit_nuisances` scores it alone, and every other
-configuration through :func:`run_single` per replication.  ``workers > 1``
-maps a thread pool over the groups.  Every seed derives from the
-replication's place in the plan, so grouping and workers change no bit of
-the report.
-
 Failure policy: a replication where one estimator's fit or point fails
 (separation, a rank-deficient fold, ...) is dropped for that estimator
 only and counted in ``n_failed``.  A valid point whose variance or
@@ -51,7 +38,6 @@ from .errors import EstimationError, ValidationError
 from .estimators import (
     NuisanceRecipe,
     arm_functionals,
-    crossfit_group,
     crossfit_nuisances,
     fit_outcomes,
     fit_propensity,
@@ -75,7 +61,7 @@ from .inference import (
     var_os,
 )
 from .rng import derive_seed
-from .trees import _BATCH_CELLS, ForestConfig
+from .trees import ForestConfig
 
 _NUISANCES = ("parametric", "forest", "oracle")
 _TRUTH_STREAM = 0x7271
@@ -83,12 +69,9 @@ _FOLD_STREAM = 0xF0
 _FOREST_STREAM = 0xFE
 
 
-def _folds(d: ObservationalDataset, cfg: EstimatorConfig, seed: int):
-    return make_folds(d.n, cfg.k, derive_seed(seed, _FOLD_STREAM))
-
-
 def _crossfit(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, recipe):
-    return crossfit_nuisances(d, _folds(d, cfg, seed), recipe)
+    folds = make_folds(d.n, cfg.k, derive_seed(seed, _FOLD_STREAM))
+    return crossfit_nuisances(d, folds, recipe)
 
 
 # fit(d, cfg, seed, recipe), point(d, cfg, nuisances), variance(d, cfg, nuisances, point);
@@ -267,13 +250,8 @@ def run_single(d: ObservationalDataset, cfg: EstimatorConfig, seed: int, oracle=
     ``"variance-failed: <message>"`` or ``"interval-failed: <message>"``.
     """
     cfg.validate()
-    fit = METHODS[cfg.method].fit
-    return _finish(d, cfg, None if fit is None else fit(d, cfg, seed, _recipe(cfg, seed, oracle)))
-
-
-def _finish(d: ObservationalDataset, cfg: EstimatorConfig, nuisances) -> RREstimate:
-    """The point, variance and interval stages of :func:`run_single` on fitted nuisances."""
-    _, point_of, variance_of = METHODS[cfg.method]
+    fit, point_of, variance_of = METHODS[cfg.method]
+    nuisances = None if fit is None else fit(d, cfg, seed, _recipe(cfg, seed, oracle))
     point = point_of(d, cfg, nuisances)
     v, stage = None, "variance"
     try:
@@ -286,69 +264,25 @@ def _finish(d: ObservationalDataset, cfg: EstimatorConfig, nuisances) -> RREstim
         return RREstimate(point, v, None, None, cfg.alpha, cfg.ci_style, d.n, (flag,))
 
 
-def _pooled(cfg: EstimatorConfig) -> bool:
-    """Whether ``cfg`` cross-fits forests, which a group's replications grow together."""
-    return cfg.nuisance == "forest" and METHODS[cfg.method].fit is _crossfit
-
-
-def _groups(plan: ExperimentPlan):
-    """Each group's ``(size index, replication indices)``, in replication order.
-
-    A group is a run of consecutive replications of one sample size whose
-    forest cross-fits of one configuration fit in one lockstep batch of
-    ``_BATCH_CELLS`` row-buffer cells: a cross-fit's forests hold
-    ``2 * n_trees * (k - 1) * n`` of them (each fold complement's rows once
-    for the propensity and once over the two arms).  A plan without forest
-    cross-fits runs groups of one.
-    """
-    for si, n in enumerate(plan.sample_sizes):
-        cells = [2 * c.n_trees * (c.k - 1) * n for c in plan.estimators if _pooled(c)]
-        size = max(1, _BATCH_CELLS // max(cells)) if cells else 1
-        for r in range(0, plan.reps, size):
-            yield si, range(r, min(r + size, plan.reps))
-
-
-def _replications(plan: ExperimentPlan, si: int, reps: range, oracle) -> list[list]:
-    """Each replication's estimates, ``RREstimate`` or ``"name: error"`` text, by config.
-
-    Configuration by configuration, a forest cross-fit of a group of several
-    replications goes through one :func:`~.estimators.crossfit_group` call;
-    every other estimate is :func:`run_single` of one replication.
-    """
-    samples = [
-        generate(
-            DGPSpec(
-                kind=plan.dgp_kind,
-                n=plan.sample_sizes[si],
-                seed=derive_seed(plan.master_seed, si, ri),
-                noise_sd=plan.noise_sd,
-            )
-        ).dataset
-        for ri in reps
-    ]
-    out = [[] for _ in reps]
+def _one_replication(
+    plan: ExperimentPlan, size_idx: int, rep_idx: int, oracle
+) -> list[RREstimate | str]:
+    """Each estimator's estimate on one sample, or its ``"name: error"`` text."""
+    spec = DGPSpec(
+        kind=plan.dgp_kind,
+        n=plan.sample_sizes[size_idx],
+        seed=derive_seed(plan.master_seed, size_idx, rep_idx),
+        noise_sd=plan.noise_sd,
+    )
+    sample = generate(spec)
+    out = []
     for cfg_idx, cfg in enumerate(plan.estimators):
-        seeds = [derive_seed(plan.master_seed, si, ri, cfg_idx) for ri in reps]
-        if len(reps) > 1 and _pooled(cfg):
-            items = [
-                (d, _folds(d, cfg, seed), _recipe(cfg, seed, oracle))
-                for d, seed in zip(samples, seeds)
-            ]
-            for row, d, fit in zip(out, samples, crossfit_group(items)):
-                failed = isinstance(fit, Exception)
-                row.append(f"{cfg.name}: {fit}" if failed else _estimate(cfg, _finish, d, cfg, fit))
-        else:
-            for row, d, seed in zip(out, samples, seeds):
-                row.append(_estimate(cfg, run_single, d, cfg, seed, oracle))
+        seed = derive_seed(plan.master_seed, size_idx, rep_idx, cfg_idx)
+        try:
+            out.append(run_single(sample.dataset, cfg, seed, oracle))
+        except (ValidationError, EstimationError) as exc:
+            out.append(f"{cfg.name}: {exc}")
     return out
-
-
-def _estimate(cfg: EstimatorConfig, stages, *args) -> RREstimate | str:
-    """``stages(*args)``, or the ``"name: error"`` text of its failed fit or point."""
-    try:
-        return stages(*args)
-    except (ValidationError, EstimationError) as exc:
-        return f"{cfg.name}: {exc}"
 
 
 def _aggregate(plan, truth, n, outcomes_by_cfg) -> list[ReportCell]:
@@ -398,13 +332,12 @@ def run_experiment(plan: ExperimentPlan) -> MonteCarloReport:
         plan.dgp_kind, plan.truth_draws, seed=derive_seed(plan.master_seed, _TRUTH_STREAM)
     )
     oracle = oracle_models(plan.dgp_kind)
-    groups = list(_groups(plan))
+    tasks = [(si, ri) for si in range(len(plan.sample_sizes)) for ri in range(plan.reps)]
     if plan.workers > 1:
         with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            grouped = list(pool.map(lambda g: _replications(plan, *g, oracle), groups))
+            results = list(pool.map(lambda sr: _one_replication(plan, *sr, oracle), tasks))
     else:
-        grouped = [_replications(plan, *g, oracle) for g in groups]
-    results = [row for rows in grouped for row in rows]  # in (size, replication) order
+        results = [_one_replication(plan, si, ri, oracle) for si, ri in tasks]
     cells: list[ReportCell] = []
     for si, n in enumerate(plan.sample_sizes):
         rows = [results[si * plan.reps + ri] for ri in range(plan.reps)]

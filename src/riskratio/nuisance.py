@@ -29,7 +29,6 @@ downstream estimator divides by a value outside that band.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
@@ -493,19 +492,10 @@ def grow_forest_fits(fits: list) -> Iterator:
     Their forests are one :func:`~riskratio.trees.fit_forests` stream: every
     forest job is checked here, before any tree grows, and each batch grows
     when its first forest's model is requested.  Any other item is a model
-    already and is passed through.  The stream holds a forest's job only
-    until its batch grows, and an item only until it is taken.
+    already and is passed through.
     """
     forests = fit_forests([f.job for f in fits if isinstance(f, ForestFit)])
-    items = deque((f.model, True) if isinstance(f, ForestFit) else (f, False) for f in fits)
-    return _models(items, forests)
-
-
-def _models(items, forests):
-    """Pop each ``(model or maker, grown)`` item off ``items``; a maker takes the next forest."""
-    while items:
-        model, grown = items.popleft()
-        yield model(next(forests)) if grown else model
+    return (f.model(next(forests)) if isinstance(f, ForestFit) else f for f in fits)
 
 
 def fit_forest_regressor(

@@ -29,40 +29,37 @@ time: it checks every job first, and its iterator grows a batch when that
 batch's first forest is requested, by one call of :func:`_grow_forest`,
 which returns the batch's forests.  A batch takes consecutive jobs that
 share ``p`` while its trees' row buffer holds at most ``_BATCH_CELLS``
-cells; a job above that grows alone, as it would by itself.  The stream
-lets go of a batch's jobs once their rows are stacked and of each forest
-once it is handed out, so a caller that takes the forests in order and
-drops each once used holds one batch of forests, plus what it keeps.  The
-trees of a batch grow together in lockstep rounds.  Their rows are
-stacked in one table, so each tree carries its own row offset into it,
-its own draw offset (its job's ``n``) and its own ``mtry``.  The trees'
-depth-first stacks of open nodes are one ``(trees, capacity, 3)`` array of
-``(node, start, end)`` entries, int32 like the row buffer, with a vector
-of stack heights and a flag per entry for a node of at least
-``2 * _MIN_LEAF`` rows; the capacity doubles when a push would overflow
-it.  Each round pops, from every tree's stack in one array read, the open
-nodes down to the topmost flagged one, and that one too (the whole stack
-when none is flagged).  The nodes above it cannot attempt a split, so
-they are leaves that draw nothing, and they come next in the tree's
-depth-first order: popping them in the same round leaves the one node
-that may draw at the draw offset it has when a round takes one node per
-tree, and its children go on the stack where it was.  A round then pushes
-the children of every split node (right, then left) in one write, so each
-tree keeps its own visiting order and draw offsets (a level-wise order
-would not: a node's draw offset depends on how many nodes to its left
-attempted a split).  The split search of every node of the round that
-attempts a split runs in padded ``(node, feature) x rows`` blocks.  Rows
-are stably sorted by their dense rank within their job, which orders them
-exactly as ``x`` does (rows of two jobs never share a node); padding rows
-rank last and have ``y = 0``, so they leave the running sums of the real
-rows unchanged, and every gain is bit-identical to a scan of that node
-alone.  Nodes go by ``mtry`` and then largest first, in chunks of one
-``mtry`` and at most ``_CELL_BUDGET`` cells whose nodes have at least half
-the chunk's widest row count, which bounds both memory and padding.  A
-round costs a fixed overhead whatever its tree count, so growing many
-small forests in one batch saves time.  Each round records 16 bytes per
-node and 20 more per split node, and :func:`_assemble` turns the records
-into forests one node field at a time.
+cells; a job above that grows alone, as it would by itself.  So a caller
+that takes the forests in order and drops each once used holds one batch
+of forests, plus what it keeps.  The trees of a batch grow together in
+lockstep rounds.  Their rows are stacked in one table, so each tree
+carries its own row offset into it, its own draw offset (its job's ``n``)
+and its own ``mtry``.  The trees' depth-first stacks of open nodes are one
+int64 ``(trees, capacity, 3)`` array of ``(node, start, end)`` entries with
+a vector of stack heights, and the capacity doubles when a push would
+overflow it.  Each round pops from every tree's stack, in one array read,
+its open nodes down to the topmost one of at least ``2 * _MIN_LEAF`` rows,
+and that one too (all of them when none is that large).  The nodes above
+it cannot attempt a split: they are leaves that draw nothing and come next
+in the tree's depth-first order, so the one node of the round that may
+draw keeps the draw offset it has when rounds take one node per tree, and
+its children go on the stack where it was.  The round then pushes the
+children of every split node (right, then left) in one write, so each tree
+keeps its own visiting order and draw offsets (a level-wise order would
+not: a node's draw offset depends on how many nodes to its left attempted
+a split).  A tree thus takes one round per node of at least
+``2 * _MIN_LEAF`` rows, plus one when its last run holds only leaves, and a
+batch as many rounds as its tree that takes most.  The split search of
+every node of the round that attempts a split runs in padded
+``(node, feature) x rows`` blocks.  Rows are stably sorted by their dense
+rank within their job, which orders them exactly as ``x`` does (rows of
+two jobs never share a node); padding rows rank last and have ``y = 0``,
+so they leave the running sums of the real rows unchanged, and every gain
+is bit-identical to a scan of that node alone.  Nodes go by ``mtry`` and
+then largest first, in chunks of one ``mtry`` and at most ``_CELL_BUDGET``
+cells whose nodes have at least half the chunk's widest row count, which
+bounds both memory and padding.  A round costs a fixed overhead whatever
+its tree count, so growing many small forests in one batch saves time.
 
 Node values are summed by one ``np.add.reduceat`` per run of nodes.  On
 a bare segment ``reduceat`` sums in another order than ``np.add.reduce``
@@ -77,7 +74,6 @@ radix-sorts; every other stable ordering tried was slower.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -107,7 +103,11 @@ class ForestConfig:
 
 
 class Tree:
-    """Flat array representation of one fitted tree."""
+    """Flat array representation of one fitted tree.
+
+    Node 0 is the root; a split node's right child is its left child plus
+    one, and a leaf has feature and children ``_LEAF``.
+    """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
@@ -130,24 +130,27 @@ class Forest:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Walk all trees at once over their concatenated node arrays.
 
-        Rows go in blocks of at most ``_CELL_BUDGET`` (tree, row) cells; each
-        row's leaf values are summed tree by tree, in tree order.
+        A split node's children are ``left`` and ``left + 1``, as
+        :func:`_grow_forest` numbers them, so a step down is one gather of
+        ``left`` plus the comparison.  For the walk a leaf gets threshold NaN,
+        which no comparison passes, and left child one below itself, so it
+        steps to itself; every (tree, row) cell steps once per level until
+        none moves.  Rows go in blocks of at most ``_CELL_BUDGET`` (tree, row)
+        cells; each row's leaf values are summed tree by tree, in tree order.
         """
         trees = self.trees
         sizes = [t.feature.size for t in trees]
         first = np.cumsum([0] + sizes[:-1])
-        offset = np.repeat(first, sizes)
-        nodes = (
-            np.concatenate([t.feature for t in trees]),
-            np.concatenate([t.threshold for t in trees]),
-            np.concatenate([t.left for t in trees]) + offset,
-            np.concatenate([t.right for t in trees]) + offset,
-            np.concatenate([t.value for t in trees]),
-        )
+        feature = np.concatenate([t.feature for t in trees])
+        threshold = np.concatenate([t.threshold for t in trees])
+        left = np.concatenate([t.left for t in trees]) + np.repeat(first, sizes)
+        value = np.concatenate([t.value for t in trees])
+        leaf = np.flatnonzero(feature == _LEAF)
+        feature[leaf], threshold[leaf], left[leaf] = 0, np.nan, leaf - 1
         out = np.zeros(x.shape[0])
         step = max(1, _CELL_BUDGET // len(trees))
         for a in range(0, x.shape[0], step):
-            for values in _leaf_values(x[a : a + step], first, *nodes):
+            for values in value.take(_leaves(x[a : a + step], first, feature, threshold, left)):
                 out[a : a + step] += values
         return out / len(trees)
 
@@ -155,21 +158,22 @@ class Forest:
         return self.predict(x)
 
 
-def _leaf_values(x, first, feature, threshold, left, right, value):
-    """``(trees, rows)`` leaf values; tree t's root is node ``first[t]``."""
+def _leaves(x, first, feature, threshold, left):
+    """``(trees, rows)`` leaf nodes of the walk of :meth:`Forest.predict`.
+
+    Tree t's root is node ``first[t]``.
+    """
     n, p = x.shape
     flat = x.ravel()
     node = np.repeat(first, n)  # cell t * n + i is row i in tree t
     row_start = np.tile(np.arange(0, n * p, p), first.size)  # of each cell's row in flat
-    cells = np.arange(node.size)
-    while cells.size:
-        at = node[cells]
-        feat = feature[at]
-        inner = feat != _LEAF
-        cells, at, feat = cells[inner], at[inner], feat[inner]
-        go_left = flat[row_start[cells] + feat] <= threshold[at]
-        node[cells] = np.where(go_left, left[at], right[at])
-    return value[node].reshape(first.size, n)
+    while True:
+        go_left = flat.take(row_start + feature.take(node)) <= threshold.take(node)
+        child = left.take(node)
+        child += ~go_left
+        if np.array_equal(child, node):
+            return node.reshape(first.size, n)
+        node = child
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig, mtry: int) -> Forest:
@@ -185,11 +189,12 @@ def fit_forests(
     ``mtry`` is clamped to ``[1, p]``.  Every job is checked here, before
     any tree grows, so the first bad job raises what :func:`fit_forest`
     raises for it.  The returned iterator grows each batch of jobs (module
-    docstring) when that batch's first forest is requested, lets go of the
-    batch's jobs once their rows are stacked, and of each forest once it is
-    taken.  Each forest is, bit for bit, the one its job grows alone.
+    docstring) when that batch's first forest is requested, and lets go of
+    a batch once its last forest is taken.  Each forest is, bit for bit,
+    the one its job grows alone.
     """
-    return _stream(deque(_checked(*job) for job in jobs))
+    checked = [_checked(*job) for job in jobs]
+    return (forest for batch in _batches(checked) for forest in _grow_forest(batch))
 
 
 def _checked(x, y, cfg, mtry):
@@ -205,34 +210,22 @@ def _checked(x, y, cfg, mtry):
     return x, y, cfg, min(p, max(1, mtry))
 
 
-def _stream(jobs):
-    """The forests of the deque ``jobs`` of checked jobs, one batch at a time."""
-    while jobs:
-        forests = _grow_forest(_next_batch(jobs))
-        forests.reverse()
-        while forests:
-            yield forests.pop()  # the stream keeps no forest it has handed out
-
-
-def _next_batch(jobs):
-    """Pop off ``jobs`` the run of consecutive jobs that ``_grow_forest`` grows together."""
-    batch = [jobs.popleft()]
-    p = batch[0][0].shape[1]
-    cells = batch[0][2].n_trees * batch[0][0].shape[0]
-    while jobs and jobs[0][0].shape[1] == p:
-        size = jobs[0][2].n_trees * jobs[0][0].shape[0]
-        if cells + size > _BATCH_CELLS:
-            break
-        batch.append(jobs.popleft())
+def _batches(jobs):
+    """Runs of consecutive checked jobs that ``_grow_forest`` grows together."""
+    batch, cells = [], 0
+    for job in jobs:
+        size = job[2].n_trees * job[0].shape[0]
+        if batch and (job[0].shape[1] != batch[0][0].shape[1] or cells + size > _BATCH_CELLS):
+            yield batch
+            batch, cells = [], 0
+        batch.append(job)
         cells += size
-    return batch
+    if batch:
+        yield batch
 
 
 def _grow_forest(jobs):
-    """The forests of one batch of checked jobs, grown in lockstep rounds (module docstring).
-
-    ``jobs`` is emptied once their rows are stacked.
-    """
+    """The forests of one batch of checked jobs, grown in lockstep rounds (module docstring)."""
     p = jobs[0][0].shape[1]
     rows = [x.shape[0] for x, _, _, _ in jobs]
     n_trees = [cfg.n_trees for _, _, cfg, _ in jobs]
@@ -245,9 +238,7 @@ def _grow_forest(jobs):
     # points at the padding row
     pad = sum(rows)
     buf0 = np.cumsum(n) - n
-    # int32 row numbers halve the buffer and the node stacks below; a cell
-    # of xe, a job's row count and its node count then fit int32 too
-    buf = np.empty(int(n.sum()) + 1, dtype=np.int32 if (pad + 1) * p < 2**31 else np.int64)
+    buf = np.empty(int(n.sum()) + 1, dtype=np.int64)
     buf[-1] = pad
     xe = np.vstack([x for x, _, _, _ in jobs] + [np.full((1, p), np.inf)])
     ye = np.concatenate([y for _, y, _, _ in jobs] + [np.zeros(1)])
@@ -271,46 +262,41 @@ def _grow_forest(jobs):
         row0 += m
         cell0 = cells.stop
     seeds = np.concatenate(seeds)[:, None]
-    del x, u
-    jobs.clear()  # their rows are stacked: the batch lets go of its inputs
     # tree t's depth-first stack holds the open nodes (node, start, end) in
-    # stack[t, :top[t]], and big[t, j] marks the open nodes of at least
-    # 2 * _MIN_LEAF rows, the ones that may attempt a split; the capacity
-    # doubles when a push would overflow it.  Open nodes hold disjoint runs
-    # of at least _MIN_LEAF rows, so a stack never holds more than
-    # n // _MIN_LEAF of them.
-    capacity = min(16, max(rows) // _MIN_LEAF)
-    stack = np.zeros((n.size, capacity, 3), dtype=buf.dtype)
+    # stack[t, :top[t]]; its capacity doubles when a push would overflow it.
+    # Open nodes hold disjoint runs of at least _MIN_LEAF rows, so a stack
+    # never holds more than n // _MIN_LEAF of them.
+    stack = np.zeros((n.size, min(16, max(rows) // _MIN_LEAF), 3), dtype=np.int64)
     stack[:, 0, 2] = n
-    big = np.zeros((n.size, capacity), dtype=bool)
-    big[:, 0] = True  # every job has at least 2 * _MIN_LEAF rows
     top = np.ones(n.size, dtype=np.int64)
     n_nodes = np.ones(n.size, dtype=np.int64)
     drawn = np.zeros(n.size, dtype=np.uint64)  # split-attempting nodes so far
     feature_draws = np.arange(p, dtype=np.uint64)
-    # per round: tree, node and value of each node, then the split nodes'
-    # positions in the round, features, thresholds and left children
-    rounds = []
+    rounds = []  # per round: (tree, node, value, feature, threshold, left child)
     active = np.arange(n.size)  # the trees with open nodes, in tree order
     while active.size:
-        # each tree pops its open nodes down to its topmost big one, and that
-        # one too (position 0 when none is big): the nodes above it are
-        # leaves, next in depth-first order, and draw nothing
-        low = np.max(big[active] * np.arange(stack.shape[1]), axis=1)
+        # each tree pops its open nodes down to its topmost one of at least
+        # 2 * _MIN_LEAF rows, and that one too (all of them when none is):
+        # the nodes above it are leaves, next in depth-first order, and draw
+        # nothing
+        slots = np.arange(stack.shape[1])
+        may_split = stack[active, :, 2] - stack[active, :, 1] >= 2 * _MIN_LEAF
+        may_split &= slots < top[active, None]
+        low = np.max(may_split * slots, axis=1)
         count = top[active] - low
         tree = np.repeat(active, count)  # the tree of each popped node
-        first = np.cumsum(count) - count
-        slot = np.arange(tree.size) - np.repeat(first - low, count)
-        node, start, end = stack[tree, slot].T.astype(np.int64)
+        slot = np.arange(tree.size) - np.repeat(np.cumsum(count) - count - low, count)
+        node, start, end = stack[tree, slot].T
         top[active] = low
-        big[active, low] = False
         m = end - start
         base = buf0[tree] + start
         value, varies = _node_values(ye, buf, base, m)
-        feature = np.full(tree.size, _LEAF, dtype=np.int32)
+        feature = np.full(tree.size, _LEAF)
         threshold = np.zeros(tree.size)
-        child = np.full(tree.size, _LEAF, dtype=np.int32)
+        child = np.full(tree.size, _LEAF)
         n_left = np.zeros(tree.size, dtype=np.int64)
+        # node is copied so that the record does not keep start and end alive
+        rounds.append((tree, node.copy(), value, feature, threshold, child))
         cand = np.flatnonzero((m >= 2 * _MIN_LEAF) & varies)
         t_cand = tree[cand]
         counters = first_node_draw[t_cand][:, None] + p * drawn[t_cand][:, None] + feature_draws
@@ -344,22 +330,13 @@ def _grow_forest(jobs):
         at = top[t]
         if at.size and at.max() + 2 > stack.shape[1]:
             stack = np.concatenate((stack, np.zeros_like(stack)), axis=1)
-            big = np.concatenate((big, np.zeros_like(big)), axis=1)
-        c, s, nl, e = child[split], start[split], n_left[split], end[split]
+        c, s, nl = child[split], start[split], n_left[split]
         # push right first so the left child is processed first
-        stack[t, at] = np.stack((c + 1, s + nl, e), axis=1)
+        stack[t, at] = np.stack((c + 1, s + nl, end[split]), axis=1)
         stack[t, at + 1] = np.stack((c, s, s + nl), axis=1)
-        big[t, at] = e - s - nl >= 2 * _MIN_LEAF
-        big[t, at + 1] = nl >= 2 * _MIN_LEAF
         top[t] += 2
         active = active[top[active] > 0]
-        # 16 bytes per node and 20 more per split node
-        rounds.append(
-            [tree.astype(np.int32), node.astype(np.int32), value, split.astype(np.int32)]
-            + [feature[split], threshold[split], c]
-        )
-    # the batch's rows and stacks are not needed to assemble its trees
-    del buf, xe, ye, rank, stack, big
+    del buf, xe, ye, rank  # the batch's rows are not needed to assemble its trees
     return _assemble(n_nodes, rounds, n_trees)
 
 
@@ -400,45 +377,34 @@ def _node_values(ye, buf, base, m):
 def _assemble(n_nodes, rounds, n_trees):
     """Forests of ``n_trees`` trees each from the per-round records of ``_grow_forest``.
 
-    Each forest's node arrays are its own, so a forest kept alive does not
-    keep the rest of its batch.  ``rounds`` is emptied as it is read, one
-    field at a time: the field is written to one batch-wide array and each
-    forest copies its part, so at most one batch-wide array is alive.
+    ``rounds`` is emptied as it is read.  Each forest's node arrays are its
+    own, so a forest kept alive does not keep the rest of its batch.
     """
     first = np.cumsum(n_nodes) - n_nodes
     total = int(n_nodes.sum())
-    ends = np.cumsum(n_trees).tolist()
-    spans = [(first[b - k], first[b - 1] + n_nodes[b - 1]) for b, k in zip(ends, n_trees)]
-    own = [[] for _ in n_trees]
-
-    def share(field):
-        for fields, (lo, hi) in zip(own, spans):
-            fields.append(field[lo:hi].copy())
-
+    feature = np.empty(total, dtype=np.int64)
+    threshold = np.empty(total)
+    left = np.empty(total, dtype=np.int64)
+    right = np.empty(total, dtype=np.int64)
     value = np.empty(total)
-    for record in rounds:
-        at = first[record[0]] + record[1]
-        value[at] = record[2]
-        # [split nodes' positions in the batch, feature, threshold, left child]
-        record[:4] = [at[record[3]]]
-    share(value)
-    del value
-    for col, fill in ((2, 0.0), (1, _LEAF), (3, _LEAF)):  # threshold, feature, left child
-        field = np.full(total, fill)  # a leaf keeps the fill
-        for record in rounds:
-            field[record[0]] = record[col]
-            record[col] = None
-        share(field)
-    del field
-    rounds.clear()
-    forests = []
-    for (value, threshold, feature, left), (lo, _), b, k in zip(own, spans, ends, n_trees):
-        right = np.where(left == _LEAF, _LEAF, left + 1)
-        starts = (first[b - k : b] - lo).tolist()
-        fields = (feature, threshold, left, right, value)
-        sizes = n_nodes[b - k : b].tolist()
-        trees = [Tree(*(f[i : i + m] for f in fields)) for i, m in zip(starts, sizes)]
+    while rounds:
+        tree, node, node_value, node_feature, node_threshold, child = rounds.pop()
+        at = first[tree] + node
+        value[at] = node_value
+        feature[at] = node_feature
+        threshold[at] = node_threshold
+        left[at] = child
+        right[at] = np.where(child == _LEAF, _LEAF, child + 1)
+    fields = (feature, threshold, left, right, value)
+    forests, a = [], 0
+    for size in n_trees:
+        b = a + size
+        lo = first[a]
+        own = [f[lo : first[b - 1] + n_nodes[b - 1]].copy() for f in fields]
+        starts = (first[a:b] - lo).tolist()
+        trees = [Tree(*(f[i : i + k] for f in own)) for i, k in zip(starts, n_nodes[a:b].tolist())]
         forests.append(Forest(trees))
+        a = b
     return forests
 
 

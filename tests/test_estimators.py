@@ -25,9 +25,9 @@ from riskratio import (
     rr_neyman,
     rr_os,
 )
-from riskratio import estimators, nuisance, trees
+from riskratio import nuisance, trees
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
-from riskratio.estimators import FoldPartition, crossfit_group, fit_outcomes, fit_propensity
+from riskratio.estimators import FoldPartition, fit_outcomes, fit_propensity
 from riskratio.nuisance import fit_forest_classifier, fit_forest_regressor
 from riskratio.rng import derive_seed
 
@@ -408,55 +408,6 @@ def test_crossfit_batches_that_straddle_folds_score_each_fold_once_its_forests_g
     expected = _one_forest_at_a_time(d, folds, recipe)
     for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
         assert got.tobytes() == want.tobytes()
-
-
-def _group_items():
-    """Forest, logistic and forest cross-fits of three samples, with a forest
-    cross-fit in between whose fold complements keep at most 5 treated rows."""
-    items = []
-    for n, seed, learners in ((150, 27, ("forest", "forest")), (120, 31, ("logistic", "ols")),
-                              (40, None, ("forest", "forest")), (120, 35, ("forest", "forest"))):
-        if seed is None:
-            t = np.zeros(n, dtype=int)
-            t[::7] = 1
-            d = dataset_from(t=t, y=np.linspace(1.0, 2.0, n))
-        else:
-            d = generate(DGPSpec(kind="wager_nl_nonlogistic", n=n, seed=seed)).dataset
-        forest = ForestConfig(n_trees=6, seed=n)
-        items.append((d, make_folds(n, 3, seed=n + 1), NuisanceRecipe(*learners, forest=forest)))
-    return items
-
-
-def test_crossfit_group_grows_its_forests_together_and_equals_each_cross_fit_alone(monkeypatch):
-    items = _group_items()
-    alone = []
-    for item in items:
-        try:
-            alone.append(crossfit_nuisances(*item))
-        except ValidationError as exc:
-            alone.append(exc)
-    grown = []
-    grow = trees._grow_forest
-    monkeypatch.setattr(trees, "_grow_forest", lambda jobs: grown.append(len(jobs)) or grow(jobs))
-    group = crossfit_group(items)
-    assert grown == [18]  # 3 folds x 3 forests of the two good forest cross-fits
-    assert [type(g) for g in group] == [type(a) for a in alone]
-    assert str(group[2]) == str(alone[2]) and "need at least 10 rows" in str(group[2])
-    for got, want in zip(group, alone):
-        if isinstance(want, Exception):
-            continue
-        assert got.folds.assignment.tobytes() == want.folds.assignment.tobytes()
-        for a, b in ((got.e, want.e), (got.mu0, want.mu0), (got.mu1, want.mu1)):
-            assert a.tobytes() == b.tobytes()
-
-
-def test_crossfit_group_sets_up_every_item_before_any_forest_grows(monkeypatch):
-    events = []
-    set_up, grow = estimators._set_up, trees._grow_forest
-    monkeypatch.setattr(estimators, "_set_up", lambda *a: events.append("set up") or set_up(*a))
-    monkeypatch.setattr(trees, "_grow_forest", lambda jobs: events.append("grow") or grow(jobs))
-    crossfit_group(_group_items())
-    assert events == ["set up"] * 4 + ["grow"]
 
 
 def _traced_peak(fit):

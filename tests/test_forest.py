@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +15,6 @@ from riskratio import (
 )
 from riskratio.dgp import DGPSpec, generate
 from riskratio import trees
-from riskratio.nuisance import forest_regressor_fit, grow_forest_fits
 from riskratio.rng import CounterRng
 from riskratio.trees import fit_forest
 
@@ -242,31 +239,6 @@ def test_forests_stream_one_batch_per_request(monkeypatch):
         _assert_same_forest(forest, fit_forest_oracle(*job), job[0])
 
 
-def test_the_stream_lets_go_of_each_batch_once_it_grew(monkeypatch):
-    # the forests of the first job, then of the last two, as above
-    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
-    jobs = _jobs(50, 40, 30)
-    rows = [weakref.ref(x) for x, _, _, _ in jobs]
-    forests = trees.fit_forests(jobs)
-    del jobs
-    first = next(forests)
-    assert [r() is None for r in rows] == [True, False, False]
-    assert first.trees and len(list(forests)) == 2
-    assert [r() is None for r in rows] == [True, True, True]
-
-
-def test_forest_fits_let_go_of_each_batch_once_it_grew(monkeypatch):
-    monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
-    fits = [forest_regressor_fit(x, y, cfg) for x, y, cfg, _ in _jobs(50, 40, 30)]
-    rows = [weakref.ref(f.job[0]) for f in fits]
-    models = grow_forest_fits(fits)
-    del fits
-    next(models)
-    assert [r() is None for r in rows] == [True, False, False]
-    assert len(list(models)) == 2
-    assert [r() is None for r in rows] == [True, True, True]
-
-
 def test_a_bad_last_job_raises_before_any_batch_grows(monkeypatch):
     monkeypatch.setattr(trees, "_BATCH_CELLS", 210)
     grown = _counting_growth(monkeypatch)
@@ -429,3 +401,21 @@ def test_rounds_pop_runs_of_leaves_with_the_next_node_that_may_split(monkeypatch
         jobs.append((xs, np.sin(xs[:, 0]) + g.normal(size=n), ForestConfig(n_trees=4, seed=n), 2))
     for job, grown in zip(jobs, trees.fit_forests(jobs)):
         _assert_same_forest(grown, fit_forest_oracle(*job), job[0])
+
+
+def test_forest_walk_matches_per_tree_walk_off_the_training_rows():
+    # rows on the thresholds, between and beyond them, and NaN, which fails
+    # every comparison: it goes right at each split, as in a walk of one
+    # tree alone, and stays on its leaf once there
+    g = np.random.default_rng(31)
+    x = np.round(g.normal(size=(60, 3)), 1)
+    y = x[:, 0] + np.sin(x[:, 1]) + g.normal(size=60)
+    forest = fit_forest(x, y, ForestConfig(n_trees=7, seed=5), mtry=2)
+    thresholds = np.concatenate([t.threshold[t.feature != -1] for t in forest.trees])
+    cuts = np.concatenate([thresholds, x.ravel(), [np.inf, -np.inf, np.nan]])
+    probe = g.choice(cuts, size=(300, 3))
+    assert forest.predict(probe).tobytes() == predict_oracle(forest, probe).tobytes()
+    # trees that are one leaf
+    stump = fit_forest(x, np.full(60, 2.5), ForestConfig(n_trees=3, seed=5), mtry=2)
+    assert all(t.feature.size == 1 for t in stump.trees)
+    assert stump.predict(probe).tobytes() == predict_oracle(stump, probe).tobytes()

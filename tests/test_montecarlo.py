@@ -199,90 +199,6 @@ class TestRunExperiment:
         assert by_name["parametric_g"].mean_estimate is None
 
 
-# linear_rct at n=44: a forest aipw (k=2) or os (k=3) replication fails when
-# a fold complement keeps under 10 rows of an arm, as replications 0 and 2
-# do for both, while n=60 fails none; a replication's forest cross-fits hold
-# at most 2 * 3 * (3 - 1) * 60 = 720 row-buffer cells
-_POOLED_ESTIMATORS = (
-    EstimatorConfig(method="neyman"),
-    EstimatorConfig(method="aipw", nuisance="forest", k=2, n_trees=4),
-    EstimatorConfig(method="g", nuisance="parametric"),
-    EstimatorConfig(method="os", nuisance="forest", k=3, n_trees=3),
-)
-
-
-def _pooled_plan(**overrides):
-    return small_plan(sample_sizes=(44, 60), reps=4, estimators=_POOLED_ESTIMATORS,
-                      master_seed=4, **overrides)
-
-
-def _report_bytes(report, tmp_path):
-    write_report_csv(report, tmp_path / "report.csv")
-    write_report_json(report, tmp_path / "report.json")
-    return (tmp_path / "report.csv").read_bytes() + (tmp_path / "report.json").read_bytes()
-
-
-def _counting(monkeypatch, name):
-    """Record the first argument of each call of ``montecarlo.<name>``."""
-    calls = []
-    fn = getattr(montecarlo, name)
-    monkeypatch.setattr(montecarlo, name, lambda first, *a: calls.append(first) or fn(first, *a))
-    return calls
-
-
-class TestReplicationGroups:
-    def test_grouped_forest_cross_fits_equal_groups_of_one(self, monkeypatch, tmp_path):
-        plan = _pooled_plan()
-        oracle = montecarlo.oracle_models(plan.dgp_kind)
-        grouped_calls = _counting(monkeypatch, "crossfit_group")
-        grouped = run_experiment(plan)
-        # one call per forest cross-fit and sample size, each of all 4 replications
-        assert [len(items) for items in grouped_calls] == [4] * 4
-        grouped_rows = montecarlo._replications(plan, 0, range(4), oracle)
-        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 1)
-        alone_calls = _counting(monkeypatch, "crossfit_group")
-        alone = run_experiment(plan)
-        alone_rows = [
-            montecarlo._replications(plan, 0, range(r, r + 1), oracle)[0] for r in range(4)
-        ]
-        assert alone_calls == []
-        assert _report_bytes(grouped, tmp_path) == _report_bytes(alone, tmp_path)
-        assert grouped_rows == alone_rows
-        failed = [o for row in grouped_rows for o in row if isinstance(o, str)]
-        assert len(failed) == 4 and all("need at least 10 rows, got" in o for o in failed)
-        assert [isinstance(o, str) for o in grouped_rows[0]] == [False, True, False, True]
-        by_name = {(c.estimator, c.n): c for c in grouped.cells}
-        assert by_name["forest_aipw", 44].n_failed == by_name["forest_os", 44].n_failed == 2
-        assert by_name["forest_aipw", 60].n_failed == by_name["forest_os", 60].n_failed == 0
-
-    def test_groups_on_a_worker_pool_equal_serial_groups(self, monkeypatch, tmp_path):
-        # groups of two replications, two groups per sample size
-        monkeypatch.setattr(montecarlo, "_BATCH_CELLS", 2 * 720)
-        calls = _counting(monkeypatch, "crossfit_group")
-        serial = run_experiment(_pooled_plan())
-        assert [len(items) for items in calls] == [2] * 8
-        parallel = run_experiment(_pooled_plan(workers=2))
-        assert _report_bytes(serial, tmp_path) == _report_bytes(parallel, tmp_path)
-
-    def test_parametric_and_oracle_plans_run_each_replication_alone(self, monkeypatch):
-        plan = small_plan(
-            dgp_kind="lunceford",
-            sample_sizes=(60, 80),
-            reps=3,
-            estimators=(
-                EstimatorConfig(method="neyman"),
-                EstimatorConfig(method="ipw"),
-                EstimatorConfig(method="aipw", k=2),
-                EstimatorConfig(method="os", nuisance="oracle", k=2),
-            ),
-        )
-        singles = _counting(monkeypatch, "run_single")
-        groups = _counting(monkeypatch, "crossfit_group")
-        run_experiment(plan)
-        assert len(singles) == 2 * 3 * 4
-        assert groups == []
-
-
 class TestPlanValidation:
     def test_bad_plans_rejected(self):
         with pytest.raises(ValidationError):
