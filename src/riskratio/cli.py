@@ -77,7 +77,9 @@ _OPTIONS = {
         "input": (None, str, "input CSV with header y,t,x1..xp (required)"),
         "out": (None, str, "output directory (required)"),
         "estimators": (("aipw",), _to_str_list, _SPECS_HELP),
-        "nuisance": (EstimatorConfig.nuisance, str, "default nuisance learners: parametric|forest"),
+        "nuisance": (
+            EstimatorConfig.nuisance, str, "default nuisance learners: parametric|forest (os/aipw)"
+        ),
         "k": (EstimatorConfig.k, int, "cross-fitting folds for os/aipw"),
         **_ESTIMATOR,
         "seed": (0, int, "seed for folds and forest nuisances"),

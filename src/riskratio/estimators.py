@@ -113,9 +113,9 @@ class NuisanceRecipe:
     :class:`PropensityModel`; ``outcome`` is a learner name (``ols`` or
     ``forest``) or a fixed ``(mu0, mu1)`` pair.  Fixed models are evaluated
     as-is (no refitting), which yields the oracle variants.  ``forest``
-    configures every forest learner; each fit derives its own seed from
-    ``forest.seed`` (see :func:`fit_propensity`).  ``clip`` bounds fitted
-    propensities.
+    configures every forest learner; forests are grown per fold only, by
+    :func:`crossfit_nuisances`, each with its own seed derived from
+    ``forest.seed``.  ``clip`` bounds fitted propensities.
     """
 
     propensity: str | PropensityModel = "logistic"
@@ -188,8 +188,13 @@ def make_folds(n: int, k: int, seed: int) -> FoldPartition:
     return FoldPartition(k=k, assignment=assignment, seed=seed)
 
 
-def _propensity(x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int):
-    """The recipe's propensity model on ``(x, t)``, or its :class:`~.nuisance.ForestFit`."""
+def fit_propensity(x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int):
+    """The recipe's propensity model on ``(x, t)``, a forest as a :class:`~.nuisance.ForestFit`.
+
+    A fixed model is returned as-is.  A forest is seeded with
+    ``derive_seed(recipe.forest.seed, *keys)`` and left ungrown: only
+    :func:`crossfit_nuisances` grows forests, keyed by the fold index.
+    """
     if not isinstance(recipe.propensity, str):
         return recipe.propensity
     if recipe.propensity == "forest":
@@ -198,7 +203,7 @@ def _propensity(x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int
     return fit_logistic_mle(x, t, clip=recipe.clip)
 
 
-def _outcomes(
+def fit_outcomes(
     x: np.ndarray,
     t: np.ndarray,
     y: np.ndarray,
@@ -209,7 +214,8 @@ def _outcomes(
     """The recipe's ``[mu0, mu1]``, each forest as a :class:`~.nuisance.ForestFit`.
 
     Each arm is fitted on its rows among those of the mask ``train``, or
-    among all rows without one.
+    among all rows without one; arm ``a``'s forest is seeded with
+    ``derive_seed(recipe.forest.seed, *keys, a)``.
     """
     if not isinstance(recipe.outcome, str):
         return list(recipe.outcome)
@@ -227,30 +233,6 @@ def _outcomes(
         else:
             fits.append(fit_ols(x_arm, y_arm, arm=arm))
     return fits
-
-
-def fit_propensity(
-    x: np.ndarray, t: np.ndarray, recipe: NuisanceRecipe, *keys: int
-) -> PropensityModel:
-    """Fit (or look up) the recipe's propensity model on ``(x, t)``.
-
-    A forest is seeded with ``derive_seed(recipe.forest.seed, *keys)``;
-    cross-fitting passes the fold index as the key, a full-sample fit none.
-    """
-    return next(grow_forest_fits([_propensity(x, t, recipe, *keys)]))
-
-
-def fit_outcomes(
-    x: np.ndarray, t: np.ndarray, y: np.ndarray, recipe: NuisanceRecipe, *keys: int
-) -> tuple[OutcomeModel, OutcomeModel]:
-    """Fit (or look up) the recipe's outcome surfaces ``(mu0, mu1)``.
-
-    Each arm is fitted on its own rows; arm ``a``'s forest is seeded with
-    ``derive_seed(recipe.forest.seed, *keys, a)``.  Two arm forests grow
-    together.
-    """
-    mu0, mu1 = grow_forest_fits(_outcomes(x, t, y, recipe, *keys))
-    return mu0, mu1
 
 
 def _complements(folds: FoldPartition) -> list[np.ndarray]:
@@ -299,12 +281,12 @@ def crossfit_nuisances(
         logistic = fit_logistic_subsets(d.x, d.t, trains, clip=recipe.clip)
     fits = []
     for k, train in enumerate(trains, 1):
-        e_k = logistic[k - 1] if logistic else _propensity(
+        e_k = logistic[k - 1] if logistic else fit_propensity(
             np.compress(train, d.x, axis=0), np.compress(train, d.t), recipe, k
         )
         if isinstance(e_k, Exception):
             raise e_k
-        fits += [e_k, *_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
+        fits += [e_k, *fit_outcomes(d.x, d.t, d.y, recipe, k, train=train)]
     models = grow_forest_fits(fits)
     e = np.empty(d.n)
     mu0 = np.empty(d.n)

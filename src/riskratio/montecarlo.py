@@ -105,9 +105,9 @@ class EstimatorConfig:
     """One estimator to run each replication.
 
     ``nuisance`` selects the learners for model-based methods:
-    ``parametric`` (logistic MLE + OLS), ``forest``, or ``oracle`` (the
-    DGP's true nuisances).  ``e`` is the known assignment probability the
-    ``ht`` method requires.
+    ``parametric`` (logistic MLE + OLS), ``forest`` (cross-fitted ``os``
+    and ``aipw`` only), or ``oracle`` (the DGP's true nuisances).  ``e`` is
+    the known assignment probability the ``ht`` method requires.
     """
 
     method: str
@@ -130,6 +130,11 @@ class EstimatorConfig:
             raise ValidationError(f"unknown method {self.method!r}")
         if self.nuisance not in _NUISANCES:
             raise ValidationError(f"unknown nuisance recipe {self.nuisance!r}")
+        if self.nuisance == "forest" and METHODS[self.method].fit not in (None, _crossfit):
+            raise ValidationError(
+                f"{self.method} fits its nuisances on the full sample, where a forest has no "
+                "valid plug-in; use os or aipw for forest nuisances"
+            )
         if self.method == "ht" and (self.e is None or not 0.0 < self.e < 1.0):
             raise ValidationError("ht needs a known assignment probability e in (0, 1)")
         if METHODS[self.method].fit is _crossfit and self.k < 2:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from riskratio import cli
+from riskratio import cli, montecarlo
 from riskratio.cli import main
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0
@@ -103,6 +103,29 @@ class TestEstimate:
         message = "error: forest_aipw: forests need at least one covariate column\n"
         assert capsys.readouterr().err == message
         assert not (tmp_path / "f" / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "spec, nuisance",
+        [("ipw:forest", "parametric"), ("forest_g", "parametric"), ("g", "forest")],
+    )
+    def test_full_sample_forest_exits_two(self, tmp_path, capsys, spec, nuisance):
+        out = tmp_path / "o"
+        code = main(["estimate", "--input", str(_write_toy_csv(tmp_path)), "--out", str(out),
+                     "--estimators", spec, "--nuisance", nuisance])
+        assert code == 2
+        assert "use os or aipw for forest nuisances" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_forest_default_nuisance_runs_neyman_and_aipw(self, tmp_path):
+        sim_out = tmp_path / "sim"
+        assert main(["simulate", "--dgp", "lunceford", "--n", "100", "--seed", "3",
+                     "--out", str(sim_out)]) == 0
+        out = tmp_path / "est"
+        code = main(["estimate", "--input", str(sim_out / "dataset.csv"), "--out", str(out),
+                     "--estimators", "neyman,aipw", "--nuisance", "forest", "--k", "2",
+                     "--n-trees", "4"])
+        assert code == 0
+        assert sorted(_read_report(out)) == ["forest_aipw", "neyman"]
 
     def test_failed_interval_keeps_the_point_in_the_report(self, tmp_path):
         # the control outcomes are negative, so the arm-means ratio is -1.5 and
@@ -247,6 +270,20 @@ class TestImpossiblePlans:
                      "--out", str(out)])
         assert code == 2
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("estimator", ["g:forest", "ipw:forest", "forest_g"])
+    def test_full_sample_forest_exits_two_before_the_truth(
+        self, tmp_path, monkeypatch, capsys, estimator
+    ):
+        truths = []
+        monkeypatch.setattr(montecarlo, "true_rr", lambda *args, **kw: truths.append(args))
+        out = tmp_path / "o"
+        code = main(["experiment", "--dgp", "lunceford", "--n-list", "100", "--reps", "2",
+                     "--estimators", estimator, "--out", str(out)])
+        assert code == 2
+        assert "use os or aipw for forest nuisances" in capsys.readouterr().err
+        assert truths == []
+        assert not out.exists()
 
 
 class TestTrueRR:

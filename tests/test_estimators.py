@@ -27,8 +27,13 @@ from riskratio import (
 )
 from riskratio import nuisance, trees
 from riskratio.dgp import DGPSpec, KINDS, generate, oracle_models, true_rr
-from riskratio.estimators import FoldPartition, fit_outcomes, fit_propensity
-from riskratio.nuisance import fit_forest_classifier, fit_forest_regressor
+from riskratio.estimators import FoldPartition, fit_outcomes
+from riskratio.nuisance import (
+    fit_forest_classifier,
+    fit_forest_regressor,
+    fit_logistic_mle,
+    fit_ols,
+)
 from riskratio.rng import derive_seed
 
 LUNCEFORD_TRUE_RR = 2.0 / 2.55 + 1.0  # closed form of the mixture design
@@ -238,13 +243,24 @@ class TestCrossfit:
 
 
 def _per_fold_nuisances(d, folds, recipe):
-    """Out-of-fold e, mu0, mu1 from one fold at a time, fitted and scored in turn."""
+    """Out-of-fold e, mu0, mu1 from one fold at a time, each learner fitted
+    alone and scored in turn: a fold's propensity, then its two arms."""
     e, mu0, mu1 = np.empty(d.n), np.empty(d.n), np.empty(d.n)
     for k in range(1, folds.k + 1):
         held = folds.assignment == k
-        train = ~held
-        e_model = fit_propensity(d.x[train], d.t[train], recipe, k)
-        m0, m1 = fit_outcomes(d.x[train], d.t[train], d.y[train], recipe, k)
+        x, t, y = d.x[~held], d.t[~held], d.y[~held]
+
+        def cfg(*keys):
+            return replace(recipe.forest, seed=derive_seed(recipe.forest.seed, k, *keys))
+
+        if recipe.propensity == "forest":
+            e_model = fit_forest_classifier(x, t, cfg(), clip=recipe.clip)
+        else:
+            e_model = fit_logistic_mle(x, t, clip=recipe.clip)
+        if recipe.outcome == "forest":
+            m0, m1 = (fit_forest_regressor(x[t == a], y[t == a], cfg(a), arm=a) for a in (0, 1))
+        else:
+            m0, m1 = (fit_ols(x[t == a], y[t == a], arm=a) for a in (0, 1))
         e[held] = e_model.predict(d.x[held])
         mu0[held] = m0.predict(d.x[held])
         mu1[held] = m1.predict(d.x[held])
@@ -342,24 +358,6 @@ def test_crossfit_rejects_a_small_arm_before_growing_any_forest(monkeypatch):
     assert grown == []
 
 
-def _one_forest_at_a_time(d, folds, recipe):
-    """Out-of-fold e, mu0, mu1 with one fold's three forests grown apart, then scored."""
-    e, mu0, mu1 = np.empty(d.n), np.empty(d.n), np.empty(d.n)
-    for k in range(1, folds.k + 1):
-        held = folds.assignment == k
-        x, t, y = d.x[~held], d.t[~held], d.y[~held]
-
-        def cfg(*keys):
-            return replace(recipe.forest, seed=derive_seed(recipe.forest.seed, k, *keys))
-
-        e_model = fit_forest_classifier(x, t, cfg(), clip=recipe.clip)
-        m0, m1 = (fit_forest_regressor(x[t == a], y[t == a], cfg(a), arm=a) for a in (0, 1))
-        e[held] = e_model.predict(d.x[held])
-        mu0[held] = m0.predict(d.x[held])
-        mu1[held] = m1.predict(d.x[held])
-    return e, mu0, mu1
-
-
 # k=3 folds of 150 rows, 8 trees: a fold's forests hold 8 * (100 + 100)
 # row-buffer cells, 800 for the propensity and 800 for the two arms together
 @pytest.mark.parametrize(
@@ -385,7 +383,7 @@ def test_crossfit_batches_whole_folds_and_scores_them_before_the_next(
     )
     scores = crossfit_nuisances(d, folds, recipe)
     assert events == (fold_events * 3 if fold_events else ["grow"] + ["predict"] * 9)
-    expected = _one_forest_at_a_time(d, folds, recipe)
+    expected = _per_fold_nuisances(d, folds, recipe)
     for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
         assert got.tobytes() == want.tobytes()
 
@@ -405,7 +403,7 @@ def test_crossfit_batches_that_straddle_folds_score_each_fold_once_its_forests_g
     )
     scores = crossfit_nuisances(d, folds, recipe)
     assert events == [4] + ["predict"] * 3 + [5] + ["predict"] * 6
-    expected = _one_forest_at_a_time(d, folds, recipe)
+    expected = _per_fold_nuisances(d, folds, recipe)
     for got, want in zip((scores.e, scores.mu0, scores.mu1), expected):
         assert got.tobytes() == want.tobytes()
 
@@ -427,7 +425,7 @@ def test_crossfit_past_the_batch_cap_peaks_like_one_forest_at_a_time(monkeypatch
     recipe = NuisanceRecipe("forest", "forest", forest=ForestConfig(n_trees=10, seed=4))
     folds = make_folds(200, 5, seed=5)
     monkeypatch.setattr(trees, "_BATCH_CELLS", 300)
-    one_at_a_time = _traced_peak(lambda: _one_forest_at_a_time(d, folds, recipe))
+    one_at_a_time = _traced_peak(lambda: _per_fold_nuisances(d, folds, recipe))
     crossfit = _traced_peak(lambda: crossfit_nuisances(d, folds, recipe))
     assert crossfit <= 1.25 * one_at_a_time
 

@@ -3,7 +3,9 @@
 Point estimates, variances and interval bounds for ``ipw``, ``g``, ``os``
 and ``aipw`` under parametric, forest and oracle nuisances, and for the
 design-based ``neyman`` and ``ht``, on one fixed sample, stored as
-``float.hex`` strings and compared for exact equality.  Any change to the
+``float.hex`` strings and compared for exact equality.  ``run_single``
+refuses forest ``ipw`` and ``g``, so their pins hold the same full-sample
+plug-ins built from the public forest learners.  Any change to the
 nuisance-fitting path, the forest seeds, the variance formulas or the
 critical value that moves a single bit shows up here.  A constant and a
 forest model of each target, a logistic propensity and an OLS outcome
@@ -28,6 +30,8 @@ import pytest
 from helpers import constant_outcome, constant_propensity, model_digest, random_dataset
 from riskratio.data import write_csv
 from riskratio.dgp import DGPSpec, generate, oracle_models
+from riskratio.estimators import rr_g, rr_ipw
+from riskratio.inference import attach_interval, var_g, var_ipw
 from riskratio.montecarlo import (
     EstimatorConfig,
     ExperimentPlan,
@@ -42,12 +46,14 @@ from riskratio.nuisance import (
     fit_logistic_mle,
     fit_ols,
 )
+from riskratio.rng import derive_seed
 
 SEED = 2024
 
 # (method, nuisance) -> (point.value.hex(), v_hat.hex()) on lunceford n=400,
 # sample seed 11, k=2 folds, 4-tree forests, estimator seed 2024; the
-# design-based neyman and ht fit no nuisances, and ht uses e = 0.5
+# design-based neyman and ht fit no nuisances, and ht uses e = 0.5; forest
+# ipw and g are the full-sample plug-ins of _forest_plug_in
 GOLDEN = {
     ("neyman", "parametric"): ("-0x1.16610ac86595ep+4", "0x1.c9bb96818d9f2p+16"),
     ("ht", "parametric"): ("-0x1.9d3ef690d6675p+4", "0x1.9b6e07375766bp+17"),
@@ -91,10 +97,33 @@ def sample():
     return generate(DGPSpec(kind="lunceford", n=400, seed=11)).dataset
 
 
+def _forest_plug_in(d, method):
+    """Full-sample forest ``ipw`` or ``g`` with run_single's seeds, clip and interval."""
+    seed = derive_seed(SEED, 0xFE)  # run_single's forest stream
+    if method == "ipw":
+        e = fit_forest_classifier(d.x, d.t, ForestConfig(4, seed), clip=0.01).predict(d.x)
+        point, v = rr_ipw(d, e), var_ipw(d, e)
+    else:
+        mu0, mu1 = (
+            fit_forest_regressor(
+                d.x[d.t == arm], d.y[d.t == arm], ForestConfig(4, derive_seed(seed, arm)), arm=arm
+            ).predict(d.x)
+            for arm in (0, 1)
+        )
+        point, v = rr_g(mu0, mu1), var_g(d, mu0, mu1)
+    return attach_interval(point, v, d.n, 0.05, "wald")
+
+
+def _estimate(d, method, nuisance):
+    if nuisance == "forest" and method in ("ipw", "g"):
+        return _forest_plug_in(d, method)
+    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, e=0.5, n_trees=4)
+    return run_single(d, cfg, SEED, oracle_models("lunceford"))
+
+
 @pytest.mark.parametrize("method, nuisance", sorted(GOLDEN))
 def test_run_single_is_bit_identical(sample, method, nuisance):
-    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, e=0.5, n_trees=4)
-    est = run_single(sample, cfg, SEED, oracle_models("lunceford"))
+    est = _estimate(sample, method, nuisance)
     point_hex, v_hex = GOLDEN[(method, nuisance)]
     assert est.point.value == float.fromhex(point_hex)
     assert est.v_hat == float.fromhex(v_hex)
@@ -102,8 +131,7 @@ def test_run_single_is_bit_identical(sample, method, nuisance):
 
 @pytest.mark.parametrize("method, nuisance", sorted(GOLDEN_CI))
 def test_run_single_interval_is_bit_identical(sample, method, nuisance):
-    cfg = EstimatorConfig(method=method, nuisance=nuisance, k=2, e=0.5, n_trees=4)
-    est = run_single(sample, cfg, SEED, oracle_models("lunceford"))
+    est = _estimate(sample, method, nuisance)
     lower_hex, upper_hex = GOLDEN_CI[(method, nuisance)]
     assert est.ci_lower == float.fromhex(lower_hex)
     assert est.ci_upper == float.fromhex(upper_hex)

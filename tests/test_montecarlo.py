@@ -255,6 +255,16 @@ class TestPlanValidation:
             with pytest.raises(ValidationError, match="nuisance"):
                 cfg.validate()
 
+    def test_forest_nuisances_only_reach_the_crossfit(self):
+        # a full-sample forest plug-in has no valid variance; neyman and ht
+        # fit nothing, so their nuisance setting is inert
+        for method in ("ipw", "g"):
+            cfg = EstimatorConfig(method=method, nuisance="forest")
+            with pytest.raises(ValidationError, match="use os or aipw"):
+                cfg.validate()
+        for method in ("neyman", "ht", "os", "aipw"):
+            EstimatorConfig(method=method, nuisance="forest", e=0.5).validate()
+
     def test_ht_needs_probability(self):
         plan = small_plan(estimators=(EstimatorConfig(method="ht"),))
         with pytest.raises(ValidationError):
